@@ -1,30 +1,18 @@
-// Fleet-scale throughput of the sharded runtime: the same fleet (one
-// channel, N tuned speakers, music-like source) is driven for a fixed
-// stretch of simulated time on the classic single-loop path (zones=1) and
-// on the sharded path (4 per-zone event loops, zone-batched delivery, SPSC
-// handoff), and the host-side wall clock per delivered packet is compared.
-//
-// The sharded speedup on one core comes from event-count collapse, not
-// parallelism: the classic path schedules ~3 simulator events per packet
-// PER SPEAKER (delivery, decode, play), while the zone path posts ONE
-// cross-shard message per (packet, zone), parses once per zone, and runs
-// one grouped decode/play event per distinct instant. At 1000 speakers in
-// 4 zones that is ~750x fewer events per packet for the same per-speaker
-// decode work — the acceptance bar is >=3x packets/sec at the 1k tier.
-//
-// A rider microbench isolates the engine swap underneath both paths: N
-// pseudo-random timers scheduled and dispatched through the hierarchical
-// timer wheel + open-addressing EventMap (QueueEngine::kTimerWheel, the
-// default) vs the retained binary-heap + hash-map oracle (kBinaryHeap).
+// Fleet-scale throughput of the zone runtime: the same fleet (one channel,
+// N tuned speakers, music-like source) is driven for a fixed stretch of
+// simulated time with every speaker in one zone (zones=1: one event loop)
+// and split over 4 zones (4 per-zone event loops, SPSC handoff, epoch
+// barriers), and the host-side wall clock per delivered packet is reported
+// for both. Either way each zone posts ONE message per packet, parses once,
+// and runs one grouped decode/play event per distinct instant.
 //
 // The emitted BENCH_fleet.json is validated by bench_gate against
-// bench/baselines/BENCH_fleet_baseline.json: classic and sharded modes
+// bench/baselines/BENCH_fleet_baseline.json: the 1-zone and 4-zone runs
 // must deliver IDENTICAL packet counts (the determinism contract, gated
-// structurally), the 1k-tier speedup must hold, and the sharded
-// ns/delivery gets the shared-machine noise margin. `--quick` (used by the
-// espk_bench_smoke ctest) shortens the simulated windows; the 10k-speaker
-// tier runs even in quick mode so the smoke test proves the big
-// configuration completes.
+// structurally), and the 4-zone ns/delivery at the 10k tier gets the
+// shared-machine noise margin. `--quick` (used by the espk_bench_smoke
+// ctest) shortens the simulated windows; the 10k-speaker tier runs even in
+// quick mode so the smoke test proves the big configuration completes.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -34,7 +22,6 @@
 
 #include "bench/bench_util.h"
 #include "src/core/system.h"
-#include "src/sim/simulation.h"
 
 namespace espk {
 namespace {
@@ -60,12 +47,12 @@ struct FleetMeasurement {
 
 // One channel, `speakers` tuned speakers, 4 ms phone-quality packets (the
 // per-packet decode work is deliberately small so the run measures the
-// runtime's per-event machinery, which is what sharding collapses).
+// runtime's per-delivery machinery).
 FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
   using Clock = std::chrono::steady_clock;
   SystemOptions options;
   options.sharded.zones = zones;
-  options.sharded.threads = 1;  // One core: the win is serial, not parallel.
+  options.sharded.threads = 1;  // One core: serial cost, not parallelism.
   EthernetSpeakerSystem system(options);
 
   RebroadcasterOptions rb;
@@ -114,7 +101,7 @@ FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
 // Multi-channel tier: `channels` concurrent streams with the speaker fleet
 // spread across them round-robin, so each zone carries a mix of groups and
 // the segment's fan-out filters per (group, member) — the service-plane
-// configuration the subscription directory manages. Classic vs sharded must
+// configuration the subscription directory manages. 1 zone vs 4 zones must
 // still agree exactly.
 FleetMeasurement MeasureMultiChannelFleet(int channels, int speakers,
                                           int zones, int sim_ms) {
@@ -176,29 +163,8 @@ FleetMeasurement MeasureMultiChannelFleet(int channels, int speakers,
   return m;
 }
 
-// Engine microbench: schedule `events` callbacks at pseudo-random times in
-// a 1 s window, then dispatch them all. Covers the full per-event path —
-// wheel/heap insert, EventMap/hash-map callback storage, pop, erase.
-double MeasureEngineNsPerEvent(QueueEngine engine, int events) {
-  using Clock = std::chrono::steady_clock;
-  Simulation sim(engine);
-  uint64_t lcg = 0x9e3779b97f4a7c15ull;
-  volatile uint64_t sink = 0;
-  const auto t0 = Clock::now();
-  for (int i = 0; i < events; ++i) {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    const SimTime at = static_cast<SimTime>(lcg % Seconds(1));
-    sim.ScheduleAt(at, [&sink] { sink = sink + 1; });
-  }
-  sim.Run();
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(events);
-}
-
 int RunFleetBench(bool quick) {
-  PrintHeader("A9",
-              "fleet-scale sharded runtime: packets/sec, 1 loop vs 4 zones");
+  PrintHeader("A9", "fleet-scale zone runtime: packets/sec, 1 zone vs 4 zones");
   PrintPaperNote(
       "one multicast transmission reaches every speaker (§2.2); the zone "
       "path extends that to the simulator itself: one handoff per zone "
@@ -218,71 +184,49 @@ int RunFleetBench(bool quick) {
       {kSpeakersMid, quick ? 1000 : 2000},
       {kSpeakersLarge, quick ? 500 : 1000},
   };
-  FleetMeasurement classic[3];
+  FleetMeasurement one_zone[3];
   FleetMeasurement sharded[3];
-  Table table({"speakers", "mode", "deliveries", "wall ms", "us/delivery",
-               "pkts/sec", "speedup"});
+  Table table(
+      {"speakers", "mode", "deliveries", "wall ms", "us/delivery", "pkts/sec"});
+  auto row = [&table](const std::string& fleet, const FleetMeasurement& m) {
+    table.Row({fleet, std::to_string(m.zones) + (m.zones == 1 ? " zone" : " zones"),
+               std::to_string(m.deliveries), Fmt(m.wall_ms, 1),
+               Fmt(m.ns_per_delivery / 1000.0),
+               Fmt(m.packets_per_sec / 1e6) + "M"});
+  };
   for (int t = 0; t < 3; ++t) {
-    // Best-of-N at the gated 1k tier: each run is hundreds of milliseconds,
-    // so a single sample is at the mercy of the host scheduler; the minimum
-    // is the run with the least interference and the number that converges
-    // across machines (same rationale as bench_trace).
-    const int reps = tiers[t].speakers == kSpeakersMid ? 3 : 1;
-    classic[t] = MeasureFleet(tiers[t].speakers, 1, tiers[t].sim_ms);
+    one_zone[t] = MeasureFleet(tiers[t].speakers, 1, tiers[t].sim_ms);
     sharded[t] = MeasureFleet(tiers[t].speakers, kZones, tiers[t].sim_ms);
-    for (int rep = 1; rep < reps; ++rep) {
-      FleetMeasurement c = MeasureFleet(tiers[t].speakers, 1, tiers[t].sim_ms);
-      if (c.wall_ms < classic[t].wall_ms) {
-        classic[t] = c;
-      }
-      FleetMeasurement s =
-          MeasureFleet(tiers[t].speakers, kZones, tiers[t].sim_ms);
-      if (s.wall_ms < sharded[t].wall_ms) {
-        sharded[t] = s;
-      }
-    }
-    const double speedup =
-        classic[t].packets_per_sec > 0.0
-            ? sharded[t].packets_per_sec / classic[t].packets_per_sec
-            : 0.0;
-    table.Row({std::to_string(tiers[t].speakers), "classic",
-               std::to_string(classic[t].deliveries),
-               Fmt(classic[t].wall_ms, 1),
-               Fmt(classic[t].ns_per_delivery / 1000.0),
-               Fmt(classic[t].packets_per_sec / 1e6) + "M", "1.00"});
-    table.Row({std::to_string(tiers[t].speakers),
-               std::to_string(kZones) + " zones",
-               std::to_string(sharded[t].deliveries),
-               Fmt(sharded[t].wall_ms, 1),
-               Fmt(sharded[t].ns_per_delivery / 1000.0),
-               Fmt(sharded[t].packets_per_sec / 1e6) + "M", Fmt(speedup)});
+    row(std::to_string(tiers[t].speakers), one_zone[t]);
+    row(std::to_string(tiers[t].speakers), sharded[t]);
   }
 
-  // Structural sanity inside the harness itself: both modes must have
-  // simulated the same fleet, and the sharded mode must actually have used
-  // the zone path.
+  // Structural sanity inside the harness itself: both zone counts must have
+  // simulated the same fleet, and the 4-zone runs must actually have
+  // crossed shards.
   for (int t = 0; t < 3; ++t) {
-    if (classic[t].deliveries == 0 ||
-        classic[t].deliveries != sharded[t].deliveries) {
+    if (one_zone[t].deliveries == 0 ||
+        one_zone[t].deliveries != sharded[t].deliveries) {
       std::fprintf(stderr,
-                   "FAIL: tier %d delivered %llu (classic) vs %llu "
-                   "(sharded); the modes diverged\n",
-                   classic[t].speakers,
-                   static_cast<unsigned long long>(classic[t].deliveries),
-                   static_cast<unsigned long long>(sharded[t].deliveries));
+                   "FAIL: tier %d delivered %llu (1 zone) vs %llu "
+                   "(%d zones); the runs diverged\n",
+                   one_zone[t].speakers,
+                   static_cast<unsigned long long>(one_zone[t].deliveries),
+                   static_cast<unsigned long long>(sharded[t].deliveries),
+                   kZones);
       return 1;
     }
-    if (classic[t].chunks_played != sharded[t].chunks_played ||
-        classic[t].chunks_played == 0) {
+    if (one_zone[t].chunks_played != sharded[t].chunks_played ||
+        one_zone[t].chunks_played == 0) {
       std::fprintf(stderr, "FAIL: tier %d played %llu vs %llu chunks\n",
-                   classic[t].speakers,
-                   static_cast<unsigned long long>(classic[t].chunks_played),
+                   one_zone[t].speakers,
+                   static_cast<unsigned long long>(one_zone[t].chunks_played),
                    static_cast<unsigned long long>(sharded[t].chunks_played));
       return 1;
     }
-    if (classic[t].messages_posted != 0 || sharded[t].messages_posted == 0) {
-      std::fprintf(stderr, "FAIL: tier %d zone path not exercised\n",
-                   classic[t].speakers);
+    if (sharded[t].messages_posted == 0) {
+      std::fprintf(stderr, "FAIL: tier %d posted no cross-shard messages\n",
+                   sharded[t].speakers);
       return 1;
     }
   }
@@ -290,52 +234,29 @@ int RunFleetBench(bool quick) {
   // Multi-channel tier: 4 channels x 4 zones. Each zone carries all four
   // groups, so the zone handoff path filters per (group, member subset).
   const int multi_sim_ms = quick ? 1000 : 2000;
-  FleetMeasurement multi_classic = MeasureMultiChannelFleet(
+  FleetMeasurement multi_one_zone = MeasureMultiChannelFleet(
       kMultiChannels, kSpeakersMulti, 1, multi_sim_ms);
   FleetMeasurement multi_sharded = MeasureMultiChannelFleet(
       kMultiChannels, kSpeakersMulti, kZones, multi_sim_ms);
-  const double multi_speedup =
-      multi_classic.packets_per_sec > 0.0
-          ? multi_sharded.packets_per_sec / multi_classic.packets_per_sec
-          : 0.0;
-  table.Row({std::to_string(kSpeakersMulti) + "/4ch", "classic",
-             std::to_string(multi_classic.deliveries),
-             Fmt(multi_classic.wall_ms, 1),
-             Fmt(multi_classic.ns_per_delivery / 1000.0),
-             Fmt(multi_classic.packets_per_sec / 1e6) + "M", "1.00"});
-  table.Row({std::to_string(kSpeakersMulti) + "/4ch",
-             std::to_string(kZones) + " zones",
-             std::to_string(multi_sharded.deliveries),
-             Fmt(multi_sharded.wall_ms, 1),
-             Fmt(multi_sharded.ns_per_delivery / 1000.0),
-             Fmt(multi_sharded.packets_per_sec / 1e6) + "M",
-             Fmt(multi_speedup)});
-  if (multi_classic.deliveries == 0 ||
-      multi_classic.deliveries != multi_sharded.deliveries ||
-      multi_classic.chunks_played != multi_sharded.chunks_played) {
+  row(std::to_string(kSpeakersMulti) + "/4ch", multi_one_zone);
+  row(std::to_string(kSpeakersMulti) + "/4ch", multi_sharded);
+  if (multi_one_zone.deliveries == 0 ||
+      multi_one_zone.deliveries != multi_sharded.deliveries ||
+      multi_one_zone.chunks_played != multi_sharded.chunks_played) {
     std::fprintf(stderr,
                  "FAIL: multi-channel tier diverged: %llu/%llu deliveries, "
                  "%llu/%llu chunks\n",
-                 static_cast<unsigned long long>(multi_classic.deliveries),
+                 static_cast<unsigned long long>(multi_one_zone.deliveries),
                  static_cast<unsigned long long>(multi_sharded.deliveries),
-                 static_cast<unsigned long long>(multi_classic.chunks_played),
+                 static_cast<unsigned long long>(multi_one_zone.chunks_played),
                  static_cast<unsigned long long>(multi_sharded.chunks_played));
     return 1;
   }
   if (multi_sharded.messages_posted == 0) {
-    std::fprintf(stderr, "FAIL: multi-channel tier zone path not exercised\n");
+    std::fprintf(stderr,
+                 "FAIL: multi-channel tier posted no cross-shard messages\n");
     return 1;
   }
-
-  const int engine_events = quick ? 100000 : 400000;
-  const double heap_ns =
-      MeasureEngineNsPerEvent(QueueEngine::kBinaryHeap, engine_events);
-  const double wheel_ns =
-      MeasureEngineNsPerEvent(QueueEngine::kTimerWheel, engine_events);
-  std::printf(
-      "engine microbench (%d events): timer wheel + EventMap %.0f ns/event, "
-      "binary heap + hash map %.0f ns/event (%.2fx)\n",
-      engine_events, wheel_ns, heap_ns, heap_ns / wheel_ns);
 
   JsonWriter json;
   json.Str("bench", "fleet");
@@ -344,36 +265,27 @@ int RunFleetBench(bool quick) {
   json.Int("speakers_small", kSpeakersSmall);
   json.Int("speakers_mid", kSpeakersMid);
   json.Int("speakers_large", kSpeakersLarge);
-  json.Int("deliveries_small", classic[0].deliveries);
-  json.Int("deliveries_mid", classic[1].deliveries);
-  json.Int("deliveries_large", classic[2].deliveries);
+  json.Int("deliveries_small", one_zone[0].deliveries);
+  json.Int("deliveries_mid", one_zone[1].deliveries);
+  json.Int("deliveries_large", one_zone[2].deliveries);
   json.Int("sharded_deliveries_small", sharded[0].deliveries);
   json.Int("sharded_deliveries_mid", sharded[1].deliveries);
   json.Int("sharded_deliveries_large", sharded[2].deliveries);
   json.Int("sharded_messages_posted_mid", sharded[1].messages_posted);
-  json.Num("classic_pps_small", classic[0].packets_per_sec);
-  json.Num("classic_pps_mid", classic[1].packets_per_sec);
-  json.Num("classic_pps_large", classic[2].packets_per_sec);
+  json.Num("one_zone_pps_small", one_zone[0].packets_per_sec);
+  json.Num("one_zone_pps_mid", one_zone[1].packets_per_sec);
+  json.Num("one_zone_pps_large", one_zone[2].packets_per_sec);
   json.Num("sharded_pps_small", sharded[0].packets_per_sec);
   json.Num("sharded_pps_mid", sharded[1].packets_per_sec);
   json.Num("sharded_pps_large", sharded[2].packets_per_sec);
-  json.Num("speedup_small",
-           sharded[0].packets_per_sec / classic[0].packets_per_sec);
-  json.Num("speedup_mid",
-           sharded[1].packets_per_sec / classic[1].packets_per_sec);
-  json.Num("speedup_large",
-           sharded[2].packets_per_sec / classic[2].packets_per_sec);
-  json.Num("classic_ns_per_delivery_large", classic[2].ns_per_delivery);
+  json.Num("one_zone_ns_per_delivery_large", one_zone[2].ns_per_delivery);
   json.Num("sharded_ns_per_delivery_large", sharded[2].ns_per_delivery);
   json.Int("multichannel_channels", kMultiChannels);
   json.Int("multichannel_speakers", kSpeakersMulti);
-  json.Int("multichannel_deliveries", multi_classic.deliveries);
+  json.Int("multichannel_deliveries", multi_one_zone.deliveries);
   json.Int("multichannel_sharded_deliveries", multi_sharded.deliveries);
-  json.Num("multichannel_classic_pps", multi_classic.packets_per_sec);
+  json.Num("multichannel_one_zone_pps", multi_one_zone.packets_per_sec);
   json.Num("multichannel_sharded_pps", multi_sharded.packets_per_sec);
-  json.Num("multichannel_speedup", multi_speedup);
-  json.Num("wheel_ns_per_event", wheel_ns);
-  json.Num("heap_ns_per_event", heap_ns);
   if (!json.WriteFile("BENCH_fleet.json")) {
     return 1;
   }

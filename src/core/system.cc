@@ -33,23 +33,20 @@ EthernetSpeakerSystem::EthernetSpeakerSystem(const SystemOptions& options)
   if (options_.background_daemon_rate > 0.0) {
     kernel_.StartBackgroundDaemons(options_.background_daemon_rate);
   }
-  if (shards_.shard_count() > 1) {
-    lan_.EnableSharding(&shards_, /*home_shard=*/0);
-    zone_tracers_.resize(static_cast<size_t>(shards_.shard_count()));
-    for (int z = 0; z < shards_.shard_count(); ++z) {
-      zone_tracers_[static_cast<size_t>(z)] =
-          std::make_unique<PacketTracer>(shards_.sim(z));
-      speaker_zones_.push_back(
-          std::make_unique<SpeakerZone>(shards_.sim(z)));
-      lan_.RegisterZoneSink(z, speaker_zones_.back().get());
+  lan_.EnableSharding(&shards_, /*home_shard=*/0);
+  for (int z = 0; z < zones(); ++z) {
+    speaker_zones_.push_back(std::make_unique<SpeakerZone>(shards_.sim(z)));
+    lan_.RegisterZoneSink(z, speaker_zones_.back().get());
+    if (is_sharded()) {
+      zone_tracers_.push_back(std::make_unique<PacketTracer>(shards_.sim(z)));
     }
   }
   lan_.set_tracer(home_tracer());
   RegisterLanMetrics();
-  if (shards_.shard_count() > 1) {
+  if (is_sharded()) {
     // The zone tracers hold the ground truth (tracer_ is a mirror the
     // ZoneCollector feeds at barriers); aggregate them so trace.* reads the
-    // same as the classic single-tracer values.
+    // same as a one-zone system's single-tracer values.
     std::vector<const PacketTracer*> tracers;
     for (const auto& tracer : zone_tracers_) {
       tracers.push_back(tracer.get());
@@ -57,24 +54,6 @@ EthernetSpeakerSystem::EthernetSpeakerSystem(const SystemOptions& options)
     RegisterTracerMetrics(std::move(tracers), &metrics_);
   } else {
     RegisterTracerMetrics(&tracer_, &metrics_);
-  }
-}
-
-void EthernetSpeakerSystem::RunUntil(SimTime t) {
-  if (shards_.shard_count() > 1) {
-    shards_.RunUntil(t);
-  } else {
-    sim_.RunUntil(t);
-  }
-}
-
-void EthernetSpeakerSystem::RunFor(SimDuration d) { RunUntil(now() + d); }
-
-void EthernetSpeakerSystem::RunUntilIdle() {
-  if (shards_.shard_count() > 1) {
-    shards_.RunUntilIdle();
-  } else {
-    sim_.Run();
   }
 }
 
@@ -278,15 +257,10 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
   // Zone placement: block or round-robin per the sharded config. The
   // speaker's event loop, and the tracer its pipeline records into, are the
   // zone's — zone 0 shares shard 0 (and tracer_) with the producers.
-  int zone = 0;
-  Simulation* zone_sim = &sim_;
-  if (shards_.shard_count() > 1) {
-    const int spz = options_.sharded.speakers_per_zone;
-    zone = spz > 0
-               ? static_cast<int>(index) / spz % shards_.shard_count()
-               : static_cast<int>(index) % shards_.shard_count();
-    zone_sim = shards_.sim(zone);
-  }
+  const int spz = options_.sharded.speakers_per_zone;
+  const int zone =
+      (spz > 0 ? static_cast<int>(index) / spz : static_cast<int>(index)) %
+      zones();
   options.tracer = zone_tracer(zone);
   // Same per-station ownership as channels: the speaker's metrics live on
   // station "es-<i>" under local names, aliased into the system registry
@@ -297,16 +271,13 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
       "Decode-completion time relative to the play deadline (ms; negative = "
       "early)");
   auto speaker =
-      std::make_unique<EthernetSpeaker>(zone_sim, nic.get(), options);
-  if (shards_.shard_count() > 1) {
-    // Route this NIC through the zone's batch sink: one delivery event per
-    // (packet, zone) instead of one per speaker. Every zone, including
-    // zone 0, takes the batched path so all speakers behave uniformly.
-    const int member =
-        speaker_zones_[static_cast<size_t>(zone)]->AddSpeaker(nic.get(),
-                                                              speaker.get());
-    lan_.AssignZone(nic.get(), zone, member);
-  }
+      std::make_unique<EthernetSpeaker>(shards_.sim(zone), nic.get(), options);
+  // Route this NIC through the zone's batch sink: one delivery event per
+  // (packet, zone) instead of one per speaker.
+  const int member =
+      speaker_zones_[static_cast<size_t>(zone)]->AddSpeaker(nic.get(),
+                                                            speaker.get());
+  lan_.AssignZone(nic.get(), zone, member);
   speaker_zone_index_.push_back(zone);
   EthernetSpeaker* sp = speaker.get();
   station->GetGauge(

@@ -30,15 +30,18 @@
 
 namespace espk {
 
-// Fleet-scale sharding (src/sim/shard.h): with zones > 1 the system splits
-// its speakers into that many zones, each living on its own shard with its
-// own event loop and timer wheel; producers, the kernel, and the segment
-// stay on shard 0. Drive a sharded system through the system-level
-// RunUntil/RunFor/RunUntilIdle (which run the epoch loop), not sim()->Run*.
-// Results are deterministic and bit-identical whether zones = 1 or N and
-// whether threads = 1 or many — tests/sharded_determinism_test.cc pins it.
+// Zones (src/sim/shard.h): the system splits its speakers into `zones`
+// SpeakerZones, each living on its own shard with its own event loop and
+// timer wheel; producers, the kernel, and the segment stay on shard 0.
+// Every speaker receives through its zone — zones = 1 is a one-zone group
+// whose speakers all share shard 0 with the producers. Drive a multi-zone
+// system through the system-level RunUntil/RunFor (which run the epoch
+// loop), not sim()->Run*; a one-zone system may use either, since the
+// group clock is shard 0's. Results are deterministic and bit-identical
+// whether zones = 1 or N and whether threads = 1 or many —
+// tests/sharded_determinism_test.cc pins it.
 struct ShardedConfig {
-  int zones = 1;    // 1 = the classic single-loop system, path untouched.
+  int zones = 1;
   int threads = 1;  // Executor width incl. the caller; clamped to zones.
   bool pin_threads = false;
   // Epoch lookahead; 0 means "use lan.base_delay" (the minimum delivery
@@ -86,8 +89,8 @@ class EthernetSpeakerSystem {
   EthernetSpeakerSystem(const EthernetSpeakerSystem&) = delete;
   EthernetSpeakerSystem& operator=(const EthernetSpeakerSystem&) = delete;
 
-  // Shard 0's simulation — the producer-side clock. In a zones = 1 system
-  // this is THE simulation, exactly as before sharding existed.
+  // Shard 0's simulation — the producer-side clock, and with zones = 1 the
+  // only one.
   Simulation* sim() { return &sim_; }
   SimKernel* kernel() { return &kernel_; }
   EthernetSegment* lan() { return &lan_; }
@@ -97,26 +100,22 @@ class EthernetSpeakerSystem {
   int zones() const { return shards_.shard_count(); }
   bool is_sharded() const { return shards_.shard_count() > 1; }
   // The zone a speaker landed in, and that zone's event loop / tracer.
-  // Zone 0 shares shard 0 with the producers. Classic systems report zone 0
-  // for every speaker.
+  // Zone 0 shares shard 0 with the producers.
   int ZoneOf(size_t speaker_index) const;
   Simulation* zone_sim(int zone) { return shards_.sim(zone); }
-  // Sharded: every zone (including zone 0) records into its own tracer, and
-  // tracer() is a mirror the ZoneCollector merges them into at barriers.
-  // Classic: there is one tracer, full stop.
+  // Multi-zone: every zone (including zone 0) records into its own tracer,
+  // and tracer() is a mirror the ZoneCollector merges them into at
+  // barriers. One zone: there is one tracer, full stop.
   PacketTracer* zone_tracer(int zone) {
     return is_sharded() ? zone_tracers_[static_cast<size_t>(zone)].get()
                         : &tracer_;
   }
 
-  // Run the whole system — every zone — to/for the given virtual time.
-  // These are the only correct way to advance a sharded system; on a
-  // classic system they are exactly sim()->RunUntil / RunFor / Run.
-  void RunUntil(SimTime t);
-  void RunFor(SimDuration d);
-  void RunUntilIdle();
-  SimTime now() const { return shards_.shard_count() > 1 ? shards_.now()
-                                                         : sim_.now(); }
+  // Run the whole system — every zone — to/for the given virtual time, in
+  // epochs. These are the only correct way to advance a multi-zone system.
+  void RunUntil(SimTime t) { shards_.RunUntil(t); }
+  void RunFor(SimDuration d) { shards_.RunFor(d); }
+  SimTime now() const { return shards_.now(); }
 
   // Telemetry for the whole system. Kernel, LAN, and tracer metrics live
   // here natively; per-station metrics (speakers, rebroadcasters) are owned
@@ -232,7 +231,11 @@ class EthernetSpeakerSystem {
   }
 
   // The NIC a speaker was created with (management agents and catalog
-  // browsers share it with the speaker). Null for unknown speakers.
+  // browsers share it with the speaker: its zone hands them every datagram
+  // the speaker has no session for). On a multi-zone system only zone-0
+  // speakers may host such components — elsewhere their handler would run
+  // on the zone's shard while they transmit through shard 0's segment.
+  // Null for unknown speakers.
   SimNic* NicOf(const EthernetSpeaker* speaker);
 
   // ------------------------------------------------------- measurements --
@@ -259,7 +262,7 @@ class EthernetSpeakerSystem {
   void AttachSpeakerSpans(size_t index);
 
   // Where shard-0 components (segment, VADs, rebroadcasters) record traces:
-  // the zone-0 tracer when sharded, the one-and-only tracer when classic.
+  // the zone-0 tracer when multi-zone, the one-and-only tracer otherwise.
   PacketTracer* home_tracer() {
     return is_sharded() ? zone_tracers_[0].get() : &tracer_;
   }
@@ -295,12 +298,12 @@ class EthernetSpeakerSystem {
   // aliases in metrics_) point into; declared before the component vectors
   // so every instrumented component unwinds first.
   std::vector<std::unique_ptr<Station>> stations_;
-  // Sharded-mode plumbing, empty when zones = 1. Per-zone tracers (every
-  // zone, including zone 0, records into its own; tracer_ becomes the
-  // barrier-merged mirror) and the per-zone batch sinks. Declared before
-  // the speakers: a speaker's options_.tracer points at its zone tracer,
-  // and zones hold borrowed speaker/NIC pointers — nothing here touches
-  // them at destruction, but keep the conservative order.
+  // Per-zone tracers, empty when zones = 1 (every zone, including zone 0,
+  // records into its own; tracer_ becomes the barrier-merged mirror), and
+  // the per-zone batch sinks every speaker receives through. Declared
+  // before the speakers: a speaker's options_.tracer points at its zone
+  // tracer, and zones hold borrowed speaker/NIC pointers — nothing here
+  // touches them at destruction, but keep the conservative order.
   std::vector<std::unique_ptr<PacketTracer>> zone_tracers_;
   std::vector<std::unique_ptr<SpeakerZone>> speaker_zones_;
   std::vector<int> speaker_zone_index_;  // Speaker index -> zone.

@@ -60,8 +60,8 @@ void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
   if (off_home && shards_->in_epoch()) {
     // Zone shard asking mid-epoch: marshal the mutation to the home shard,
     // where Transmit reads membership. Deferring by at least the lookahead
-    // keeps the Post legal; matching that deferral in the classic path is
-    // why cross-mode determinism needs join_latency >= lookahead.
+    // keeps the Post legal; matching that deferral on the home shard is why
+    // determinism across zone counts needs join_latency >= lookahead.
     Simulation* src_sim = shards_->sim(nic->zone_shard_);
     const SimTime at =
         src_sim->now() + std::max(config_.join_latency, shards_->lookahead());

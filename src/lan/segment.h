@@ -116,16 +116,19 @@ class EthernetSegment {
   // from IGMP, and what MSNIP would let a server ask for (§4.3).
   size_t GroupMemberCount(GroupId group) const;
 
-  // ---------------------------------------------- sharded fleet routing --
-  // The fleet-scale runtime (src/sim/shard.h) splits receivers into zones,
-  // each living on its own shard. The segment itself (and every sender)
+  // ------------------------------------------------------ zone routing --
+  // The runtime (src/sim/shard.h) puts every speaker of an
+  // EthernetSpeakerSystem in a zone, each zone living on its own shard (a
+  // one-zone system has one shard). The segment itself (and every sender)
   // stays on `home_shard`; deliveries to zone-assigned NICs are batched —
-  // ONE cross-shard message per (packet, zone) carrying the shared payload
-  // slice plus a per-member entry list — instead of one event per receiver.
-  // Loss and jitter are still drawn per receiver in NIC creation order on
-  // the home shard, so the PRNG stream is bit-identical to the unsharded
-  // run. Requires shards->lookahead() <= base_delay (asserted): that is
-  // what makes every arrival land at or after the epoch barrier.
+  // ONE message per (packet, zone) carrying the shared payload slice plus a
+  // per-member entry list — instead of one event per receiver. Every other
+  // NIC (producers, consoles, recorders, boot clients, and speakers built on
+  // a bare segment) gets its own delivery event, handed to its receive
+  // handler. Loss and jitter are drawn per receiver in NIC creation order on
+  // the home shard either way, so the PRNG stream does not depend on the
+  // zone count. Requires shards->lookahead() <= base_delay (asserted): that
+  // is what makes every arrival land at or after the epoch barrier.
   void EnableSharding(ShardGroup* shards, int home_shard);
   // Installs the sink that receives zone batches for `shard`.
   void RegisterZoneSink(int shard, ZoneSink* sink);
@@ -165,7 +168,7 @@ class EthernetSegment {
   NodeId next_node_ = 1;
   SimTime medium_free_at_ = 0;  // CSMA-free abstraction: FIFO serialization.
   std::vector<SimNic*> nics_;
-  ShardGroup* shards_ = nullptr;  // Null: classic single-loop delivery.
+  ShardGroup* shards_ = nullptr;  // Null: no zones; every NIC via DeliverTo.
   int home_shard_ = 0;
   std::vector<ZoneSink*> zone_sinks_;  // Indexed by shard.
   std::vector<ZoneBatch> zone_batches_;  // Scratch, reused per Transmit.
@@ -198,20 +201,23 @@ class SimNic : public Transport {
   uint64_t packets_received() const { return packets_received_; }
   uint64_t bytes_received() const { return bytes_received_; }
 
-  // Zone identity when routed through the sharded path (-1 = classic).
+  // Zone identity when routed through the zone path (-1 = not in a zone).
   int zone_shard() const { return zone_shard_; }
   int zone_member() const { return zone_member_; }
-  // Called by the zone sink in place of HandleArrival so receive-side
-  // accounting stays truthful on the batched path.
+  // Counts an arrival the zone sink handed straight to the member speaker,
+  // so receive-side accounting stays truthful on the batched path.
   void NoteZoneDelivery(size_t bytes) {
     ++packets_received_;
     bytes_received_ += bytes;
   }
+  // Counts an arrival and hands it to the receive handler: the segment's
+  // delivery to NICs outside a zone, and a zone sink's for datagrams its
+  // member speaker has no session for (management, announce, stale
+  // traffic after a leave).
+  void HandleArrival(const Datagram& datagram);
 
  private:
   friend class EthernetSegment;
-
-  void HandleArrival(const Datagram& datagram);
 
   EthernetSegment* segment_;
   NodeId node_;

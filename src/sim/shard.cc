@@ -25,8 +25,7 @@ ShardGroup::ShardGroup(const Options& options)
   const size_t n = static_cast<size_t>(options.shards);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(static_cast<int>(i), options.engine));
+    shards_.push_back(std::make_unique<Simulation>());
   }
   links_.resize(n * n);  // Diagonal stays null; a shard never posts itself.
   for (size_t src = 0; src < n; ++src) {
@@ -48,7 +47,7 @@ void ShardGroup::Post(int src, int dst, SimTime at, std::function<void()> fn) {
   assert(src >= 0 && src < shard_count());
   assert(dst >= 0 && dst < shard_count());
   if (src == dst) {
-    shards_[static_cast<size_t>(src)]->sim()->ScheduleAt(at, std::move(fn));
+    sim(src)->ScheduleAt(at, std::move(fn));
     return;
   }
   assert(at >= epoch_end_ &&
@@ -77,13 +76,13 @@ void ShardGroup::Post(int src, int dst, SimTime at, std::function<void()> fn) {
 SimTime ShardGroup::NextEventTime() {
   SimTime next = Simulation::kNoPendingEvent;
   for (auto& shard : shards_) {
-    next = std::min(next, shard->sim()->next_pending_time());
+    next = std::min(next, shard->next_pending_time());
   }
   return next;
 }
 
 void ShardGroup::RunEpoch(SimTime epoch_end) {
-  const SimTime epoch_start = now_;
+  const SimTime epoch_start = now();
   epoch_end_ = epoch_end;
   in_epoch_ = true;
   const int n = shard_count();
@@ -95,7 +94,7 @@ void ShardGroup::RunEpoch(SimTime epoch_end) {
     BufferOwnerScope scope(static_cast<uint32_t>(s) + 1);
     if (measured) {
       const auto t0 = std::chrono::steady_clock::now();
-      shards_[static_cast<size_t>(s)]->sim()->RunUntil(epoch_end);
+      sim(s)->RunUntil(epoch_end);
       const auto t1 = std::chrono::steady_clock::now();
       epoch_stats_[static_cast<size_t>(s)].run_wall_ns =
           static_cast<uint64_t>(
@@ -103,7 +102,7 @@ void ShardGroup::RunEpoch(SimTime epoch_end) {
                   .count());
       run_finish_tp_[static_cast<size_t>(s)] = t1;
     } else {
-      shards_[static_cast<size_t>(s)]->sim()->RunUntil(epoch_end);
+      sim(s)->RunUntil(epoch_end);
     }
   });
   if (measured) {
@@ -125,7 +124,6 @@ void ShardGroup::RunEpoch(SimTime epoch_end) {
     DrainInto(dst);
   });
   in_epoch_ = false;
-  now_ = epoch_end;
   ++epochs_run_;
   if (!hooks_.empty()) {
     EpochRecord record;
@@ -171,30 +169,30 @@ void ShardGroup::DrainInto(int dst) {
               if (a.src != b.src) return a.src < b.src;
               return a.seq < b.seq;
             });
-  Simulation* sim = shards_[static_cast<size_t>(dst)]->sim();
+  Simulation* dst_sim = sim(dst);
   for (Message& m : scratch) {
-    assert(m.at >= sim->now() && "drained message landed in the past");
-    sim->ScheduleAt(m.at, std::move(m.fn));
+    assert(m.at >= dst_sim->now() && "drained message landed in the past");
+    dst_sim->ScheduleAt(m.at, std::move(m.fn));
   }
   scratch.clear();
 }
 
 void ShardGroup::RunUntil(SimTime t) {
-  assert(t >= now_ && "cannot run the group clock backwards");
-  while (now_ < t) {
+  assert(t >= now() && "cannot run the group clock backwards");
+  while (now() < t) {
     // Any epoch end <= next_event + lookahead is conservative: events exist
     // only at >= next_event, and a message posted by an event at time tau
     // lands at >= tau + lookahead.
     const SimTime next = NextEventTime();
     SimTime epoch_end = t;
     if (next != Simulation::kNoPendingEvent && next <= t - lookahead_) {
-      epoch_end = std::max(next + lookahead_, now_ + lookahead_);
+      epoch_end = std::max(next + lookahead_, now() + lookahead_);
     }
     epoch_end = std::min(epoch_end, t);
     // Land a barrier exactly on the earliest hook alignment (sampler tick,
     // plane flush); a shorter epoch is always conservative.
     const SimTime align = HookAlignment();
-    if (align > now_ && align < epoch_end) {
+    if (align > now() && align < epoch_end) {
       epoch_end = align;
     }
     RunEpoch(epoch_end);
@@ -208,9 +206,9 @@ void ShardGroup::RunUntilIdle() {
       return;  // No events anywhere and every inbox drained at the barrier.
     }
     assert(next <= std::numeric_limits<SimTime>::max() - lookahead_);
-    SimTime epoch_end = std::max(next, now_) + lookahead_;
+    SimTime epoch_end = std::max(next, now()) + lookahead_;
     const SimTime align = HookAlignment();
-    if (align > now_ && align < epoch_end) {
+    if (align > now() && align < epoch_end) {
       epoch_end = align;
     }
     RunEpoch(epoch_end);

@@ -1,8 +1,9 @@
 // Sharded simulation runtime: per-zone event loops synchronized by a
-// conservative lookahead barrier. Each Shard owns a Simulation (its own
+// conservative lookahead barrier. Each shard is a Simulation (its own
 // virtual clock + timer wheel) hosting one zone of the fleet; a ShardGroup
 // advances all shards in lockstep epochs and ferries cross-shard work
-// through SPSC rings.
+// through SPSC rings. A one-shard group is an ordinary event loop driven in
+// lookahead-sized epochs (nothing ever crosses a ring).
 //
 // Conservative PDES, concretely: the only way shards influence each other
 // is Post(src, dst, at, fn) — deliver `fn` on shard `dst` at time `at` —
@@ -46,23 +47,6 @@
 
 namespace espk {
 
-// One zone's event loop. Thin: identity plus a Simulation; all cross-shard
-// machinery lives in ShardGroup.
-class Shard {
- public:
-  Shard(int id, QueueEngine engine) : id_(id), sim_(engine) {}
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-
-  int id() const { return id_; }
-  Simulation* sim() { return &sim_; }
-  const Simulation* sim() const { return &sim_; }
-
- private:
-  int id_;
-  Simulation sim_;
-};
-
 class ShardGroup {
  public:
   struct Options {
@@ -74,7 +58,6 @@ class ShardGroup {
     // fully inline (no threads) — same results either way.
     int threads = 1;
     bool pin_threads = false;
-    QueueEngine engine = QueueEngine::kTimerWheel;
     // Per-link SPSC ring capacity (messages); overflow spills to a vector.
     size_t inbox_capacity = 1024;
   };
@@ -119,12 +102,14 @@ class ShardGroup {
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  Shard* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
-  Simulation* sim(int i) { return shard(i)->sim(); }
+  Simulation* sim(int i) { return shards_[static_cast<size_t>(i)].get(); }
   SimDuration lookahead() const { return lookahead_; }
 
-  // The group clock: every shard's now() equals this between epochs.
-  SimTime now() const { return now_; }
+  // The group clock is shard 0's clock; every shard's now() equals it
+  // between epochs. Code that drives shard 0 directly (sim(0)->RunUntil)
+  // therefore moves the group clock too, and the next RunUntil/RunFor
+  // continues from there.
+  SimTime now() const { return shards_[0]->now(); }
 
   // True while RunEpoch is executing shard events (run phase through drain).
   // Lets callers holding both-mode code paths (e.g. segment membership
@@ -142,7 +127,7 @@ class ShardGroup {
 
   // Advances every shard to exactly time t (epoch loop with barriers).
   void RunUntil(SimTime t);
-  void RunFor(SimDuration d) { RunUntil(now_ + d); }
+  void RunFor(SimDuration d) { RunUntil(now() + d); }
 
   // Epoch loop until every shard is out of events and no message is in
   // flight; the group clock ends at the last event's time.
@@ -208,10 +193,9 @@ class ShardGroup {
   SimTime HookAlignment() const;
 
   SimDuration lookahead_;
-  SimTime now_ = 0;
   SimTime epoch_end_ = 0;  // Valid during RunEpoch; read by Post asserts.
   bool in_epoch_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Simulation>> shards_;
   std::vector<std::unique_ptr<Link>> links_;  // shards x shards, diag unused.
   Executor executor_;
   uint64_t epochs_run_ = 0;

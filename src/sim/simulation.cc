@@ -15,11 +15,7 @@ Simulation::EventHandle Simulation::ScheduleAt(SimTime at, Callback cb) {
   ev.id = next_id_++;
   EventHandle handle{ev.id};
   callbacks_.Insert(ev.id, std::move(cb));
-  if (engine_ == QueueEngine::kTimerWheel) {
-    wheel_.Schedule(ev);
-  } else {
-    queue_.push(ev);
-  }
+  wheel_.Schedule(ev);
   return handle;
 }
 
@@ -34,21 +30,9 @@ bool Simulation::Cancel(EventHandle handle) {
   return handle.valid() && callbacks_.Erase(handle.id);
 }
 
-bool Simulation::PopNext(SimTime limit, TimerEntry* out) {
-  if (engine_ == QueueEngine::kTimerWheel) {
-    return wheel_.PopEarliest(limit, out);
-  }
-  if (queue_.empty() || queue_.top().time > limit) {
-    return false;
-  }
-  *out = queue_.top();
-  queue_.pop();
-  return true;
-}
-
 bool Simulation::RunOne() {
   TimerEntry ev;
-  while (PopNext(std::numeric_limits<SimTime>::max(), &ev)) {
+  while (wheel_.PopEarliest(std::numeric_limits<SimTime>::max(), &ev)) {
     Callback cb;
     if (!callbacks_.Take(ev.id, &cb)) {
       continue;  // Cancelled: only the stub was left behind.
@@ -70,7 +54,7 @@ void Simulation::Run() {
 void Simulation::RunUntil(SimTime t) {
   assert(t >= now_ && "cannot run the clock backwards");
   TimerEntry ev;
-  while (PopNext(t, &ev)) {
+  while (wheel_.PopEarliest(t, &ev)) {
     Callback cb;
     if (!callbacks_.Take(ev.id, &cb)) {
       continue;  // Cancelled stub.
@@ -86,11 +70,8 @@ void Simulation::RunUntil(SimTime t) {
 void Simulation::RunFor(SimDuration d) { RunUntil(now_ + d); }
 
 SimTime Simulation::next_pending_time() {
-  if (engine_ == QueueEngine::kTimerWheel) {
-    TimerEntry e;
-    return wheel_.PeekEarliest(&e) ? e.time : kNoPendingEvent;
-  }
-  return queue_.empty() ? kNoPendingEvent : queue_.top().time;
+  TimerEntry e;
+  return wheel_.PeekEarliest(&e) ? e.time : kNoPendingEvent;
 }
 
 PeriodicTask::PeriodicTask(Simulation* sim, SimDuration period,

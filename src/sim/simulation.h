@@ -9,22 +9,15 @@
 // which the protocol relies on ("everybody receives a multicast packet at the
 // same time", §3.2).
 //
-// Two interchangeable queue engines implement that contract:
-//   - kTimerWheel (default): hashed hierarchical timer wheel
-//     (src/sim/timer_wheel.h) + open-addressing callback table
-//     (src/sim/event_map.h). O(1) schedule, no per-event node allocation —
-//     what the fleet-scale sharded runtime runs on.
-//   - kBinaryHeap: the original std::priority_queue engine. Kept as the
-//     reference implementation: tests run the wheel against it as an
-//     ordering oracle, and bench_fleet reports the wheel's win over it.
-// Both engines produce bit-identical pop order (time, then scheduling
-// order); the choice is pure mechanics, never semantics.
+// The queue is a hashed hierarchical timer wheel (src/sim/timer_wheel.h)
+// plus an open-addressing callback table (src/sim/event_map.h): O(1)
+// schedule, no per-event node allocation. tests/timer_wheel_test.cc runs it
+// against a binary-heap event loop as the ordering reference.
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/base/time_types.h"
@@ -32,11 +25,6 @@
 #include "src/sim/timer_wheel.h"
 
 namespace espk {
-
-enum class QueueEngine {
-  kTimerWheel,
-  kBinaryHeap,
-};
 
 class Simulation {
  public:
@@ -49,12 +37,10 @@ class Simulation {
   };
 
   Simulation() = default;
-  explicit Simulation(QueueEngine engine) : engine_(engine) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   SimTime now() const { return now_; }
-  QueueEngine queue_engine() const { return engine_; }
 
   // Schedules `cb` to run at absolute time `at` (clamped to now).
   EventHandle ScheduleAt(SimTime at, Callback cb);
@@ -83,8 +69,7 @@ class Simulation {
   size_t pending_events() const { return callbacks_.size(); }
   uint64_t events_processed() const { return events_processed_; }
 
-  // Timer-wheel cascade count (0 under the kBinaryHeap engine, which has no
-  // wheel to cascade). Part of the sharded runtime's self-telemetry.
+  // Timer-wheel cascade count. Part of the sharded runtime's self-telemetry.
   uint64_t timer_cascades() const { return wheel_.cascades(); }
 
   // Lower bound on the time of the next live event: the earliest queued
@@ -96,29 +81,14 @@ class Simulation {
   SimTime next_pending_time();
 
  private:
-  struct Later {
-    bool operator()(const TimerEntry& a, const TimerEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  // Pops the earliest stub with time <= limit from whichever engine is
-  // active; false when none qualifies. A popped stub whose id is no longer
-  // in callbacks_ is a cancelled event's residue and must be skipped.
-  bool PopNext(SimTime limit, TimerEntry* out);
-
-  QueueEngine engine_ = QueueEngine::kTimerWheel;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t next_id_ = 1;
   uint64_t events_processed_ = 0;
-  TimerWheel wheel_;  // kTimerWheel engine.
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, Later>
-      queue_;             // kBinaryHeap engine.
-  EventMap callbacks_;    // Pending events only.
+  // Stubs of pending events. A popped stub whose id is no longer in
+  // callbacks_ is a cancelled event's residue and is skipped.
+  TimerWheel wheel_;
+  EventMap callbacks_;  // Pending events only.
 };
 
 // Repeats a callback with a fixed period until stopped. The callback receives

@@ -1,8 +1,19 @@
 #include "src/speaker/recorder.h"
 
+#include <algorithm>
+
 #include "src/base/logging.h"
 
 namespace espk {
+namespace {
+
+// Most missing packets one gap is padded with. Loss bursts are far shorter;
+// a longer run of missing seqs is a forged or corrupt seq (or a producer
+// restart), and padding it in full would allocate up to ~2^32 packets of
+// silence for one CRC-valid datagram.
+constexpr uint32_t kMaxGapFillPackets = 1000;
+
+}  // namespace
 
 StreamRecorder::StreamRecorder(Simulation* sim, Transport* nic)
     : sim_(sim), nic_(nic) {
@@ -76,21 +87,19 @@ PcmBuffer StreamRecorder::Assemble() const {
   out.channels = config_->channels;
   out.sample_rate = config_->sample_rate;
   uint32_t expected_seq = chunks_.begin()->first;
-  uint32_t typical_frames = chunks_.begin()->second.frame_count;
+  // Sized from decoded audio, not the header's frame_count, so a forged
+  // header cannot inflate the fill either.
+  const size_t typical_samples = chunks_.begin()->second.samples.size();
   auto* mutable_stats = const_cast<RecorderStats*>(&stats_);
   mutable_stats->gaps_filled = 0;
   mutable_stats->frames_recorded = 0;
   for (const auto& [seq, chunk] : chunks_) {
     // Fill lost packets with silence so later audio keeps its place.
-    while (expected_seq < seq) {
-      out.samples.insert(out.samples.end(),
-                         static_cast<size_t>(typical_frames) *
-                             static_cast<size_t>(out.channels),
-                         0.0f);
-      mutable_stats->frames_recorded += typical_frames;
-      ++mutable_stats->gaps_filled;
-      ++expected_seq;
-    }
+    const uint32_t missing = std::min(seq - expected_seq, kMaxGapFillPackets);
+    out.samples.insert(out.samples.end(), missing * typical_samples, 0.0f);
+    mutable_stats->frames_recorded += static_cast<int64_t>(
+        missing * typical_samples / static_cast<size_t>(out.channels));
+    mutable_stats->gaps_filled += missing;
     out.samples.insert(out.samples.end(), chunk.samples.begin(),
                        chunk.samples.end());
     mutable_stats->frames_recorded += chunk.frame_count;

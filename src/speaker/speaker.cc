@@ -1,6 +1,8 @@
 #include "src/speaker/speaker.h"
 
 #include <algorithm>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -9,9 +11,100 @@
 
 namespace espk {
 
+namespace {
+
+SimTime InstantOf(const DecodeJob& job) { return job.pending.decode_done; }
+SimTime InstantOf(const PlayJob& job) { return job.play.at; }
+
+}  // namespace
+
+template <typename Job>
+std::vector<Job> PipelineScheduler::Slots<Job>::Take(uint32_t slot) {
+  free.push_back(slot);
+  return std::move(groups[slot]);
+}
+
+void PipelineScheduler::ScheduleDecodes(std::vector<DecodeJob> jobs) {
+  Schedule(std::move(jobs), &decodes_);
+}
+
+template <typename Job>
+void PipelineScheduler::Schedule(std::vector<Job> jobs, Slots<Job>* slots) {
+  // Jitter or divergent decode backlogs spread a batch over several
+  // instants; the common case (one instant for the whole batch) is already
+  // sorted.
+  auto earlier = [](const Job& a, const Job& b) {
+    return InstantOf(a) < InstantOf(b);
+  };
+  if (!std::is_sorted(jobs.begin(), jobs.end(), earlier)) {
+    std::stable_sort(jobs.begin(), jobs.end(), earlier);
+  }
+  size_t i = 0;
+  while (i < jobs.size()) {
+    const SimTime at = InstantOf(jobs[i]);
+    size_t j = i + 1;
+    while (j < jobs.size() && InstantOf(jobs[j]) == at) {
+      ++j;
+    }
+    if (i == 0 && j == jobs.size()) {
+      Park(at, std::move(jobs), slots);
+      return;
+    }
+    Park(at,
+         std::vector<Job>(
+             std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
+             std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j))),
+         slots);
+    i = j;
+  }
+}
+
+template <typename Job>
+void PipelineScheduler::Park(SimTime at, std::vector<Job> group,
+                             Slots<Job>* slots) {
+  uint32_t slot = 0;
+  if (slots->free.empty()) {
+    slot = static_cast<uint32_t>(slots->groups.size());
+    slots->groups.push_back(std::move(group));
+  } else {
+    slot = slots->free.back();
+    slots->free.pop_back();
+    slots->groups[slot] = std::move(group);
+  }
+  sim_->ScheduleAt(at, [this, slot] {
+    if constexpr (std::is_same_v<Job, DecodeJob>) {
+      RunDecodes(slot);
+    } else {
+      RunPlays(slot);
+    }
+  });
+}
+
+void PipelineScheduler::RunDecodes(uint32_t slot) {
+  const std::vector<DecodeJob> group = decodes_.Take(slot);
+  std::vector<PlayJob> plays;
+  for (const DecodeJob& job : group) {
+    PendingPlay play;
+    job.speaker->RunDecode(job.pending, &play);
+    if (play.valid) {
+      if (plays.empty()) {
+        plays.reserve(group.size());
+      }
+      plays.push_back(PlayJob{job.speaker, std::move(play)});
+    }
+  }
+  Schedule(std::move(plays), &plays_);
+}
+
+void PipelineScheduler::RunPlays(uint32_t slot) {
+  for (PlayJob& job : plays_.Take(slot)) {
+    job.speaker->RunPlay(std::move(job.play));
+  }
+}
+
 EthernetSpeaker::EthernetSpeaker(Simulation* sim, Transport* nic,
                                  const SpeakerOptions& options)
-    : sim_(sim), nic_(nic), options_(options) {
+    : sim_(sim), nic_(nic), options_(options), scheduler_(sim) {
   nic_->SetReceiveHandler(
       [this](const Datagram& datagram) { OnDatagram(datagram); });
 }
@@ -157,14 +250,19 @@ std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
 }
 
 void EthernetSpeaker::OnDatagram(const Datagram& datagram) {
-  Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
   PendingDecode pending;
-  IngestParsed(parsed, datagram.group, &pending);
-  CommitDecode(std::move(pending));
+  IngestParsed(ParsePacket(datagram.payload), FindSession(datagram.group),
+               &pending);
+  if (pending.valid) {
+    std::vector<DecodeJob> jobs;
+    jobs.push_back(DecodeJob{this, std::move(pending)});
+    scheduler_.ScheduleDecodes(std::move(jobs));
+  }
 }
 
 void EthernetSpeaker::IngestParsed(const Result<ParsedPacket>& parsed,
-                                   GroupId group, PendingDecode* out) {
+                                   StreamSession* session,
+                                   PendingDecode* out) {
   ++stats_.packets_received;
   if (!parsed.ok()) {
     // Damaged or non-protocol datagram: integrity check failed (§5.1).
@@ -175,7 +273,6 @@ void EthernetSpeaker::IngestParsed(const Result<ParsedPacket>& parsed,
     ++stats_.auth_rejected;
     return;
   }
-  StreamSession* session = FindSession(group);
   if (session == nullptr) {
     // No subscription for this group. Possible transiently: packets already
     // queued on the wire when an unsubscribe's membership change lands.
@@ -188,28 +285,6 @@ void EthernetSpeaker::IngestParsed(const Result<ParsedPacket>& parsed,
   }
   // Announce packets are handled by the catalog browser (src/mgmt), not by
   // the playback path.
-}
-
-void EthernetSpeaker::CommitDecode(PendingDecode pending) {
-  if (!pending.valid) {
-    return;
-  }
-  const SimTime decode_done = pending.decode_done;
-  sim_->ScheduleAt(decode_done, [this, pending = std::move(pending)] {
-    PendingPlay play;
-    RunDecode(pending, &play);
-    CommitPlay(std::move(play));
-  });
-}
-
-void EthernetSpeaker::CommitPlay(PendingPlay play) {
-  if (!play.valid) {
-    return;
-  }
-  const SimTime at = play.at;
-  sim_->ScheduleAt(at, [this, play = std::move(play)]() mutable {
-    RunPlay(std::move(play));
-  });
 }
 
 void EthernetSpeaker::Trace(uint32_t stream_id, uint32_t seq,

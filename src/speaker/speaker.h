@@ -25,6 +25,14 @@
 // jitter-buffer budget, and the aggregate stats. Concurrent subscriptions
 // share the output stage via RenderMix. The paper's Tune/Untune survive as
 // thin aliases over the subscription API.
+//
+// Every packet takes one path through the pipeline: admission at arrival
+// (IngestParsed), then decode and play as events a PipelineScheduler groups
+// by instant. A speaker in an EthernetSpeakerSystem is a member of a
+// SpeakerZone (src/speaker/speaker_zone.h), which admits a whole zone's
+// members per packet into the zone's scheduler. A standalone speaker (its
+// own NIC handler, or HandleDatagram) is a batch of one on its own
+// scheduler.
 #ifndef SRC_SPEAKER_SPEAKER_H_
 #define SRC_SPEAKER_SPEAKER_H_
 
@@ -82,11 +90,10 @@ struct SpeakerOptions {
 };
 
 // A data packet that cleared admission (dedup, overflow, config checks) and
-// now owes the pipeline a decode at `decode_done`. The classic path wraps
-// one of these in its own scheduled event per packet; the sharded zone path
-// (src/speaker/speaker_zone.h) groups the whole zone's same-instant decodes
-// into ONE event — that batching is where the fleet runtime's per-speaker
-// cost collapses. `valid` is false when the packet was dropped at admission.
+// now owes the pipeline a decode at `decode_done`. The PipelineScheduler
+// below groups a batch's same-instant decodes into ONE event — for a zone,
+// that batching is where the fleet runtime's per-speaker cost collapses.
+// `valid` is false when the packet was dropped at admission.
 // `group`/`session_epoch` route the obligation back to the session that
 // issued it; a stale epoch (the group was unsubscribed mid-flight) makes
 // the obligation a no-op.
@@ -114,6 +121,57 @@ struct PendingPlay {
   uint32_t seq = 0;
   std::vector<float> samples;
   size_t decoded_bytes = 0;
+};
+
+class EthernetSpeaker;
+
+// A pipeline obligation and the speaker that owes it.
+struct DecodeJob {
+  EthernetSpeaker* speaker = nullptr;
+  PendingDecode pending;
+};
+struct PlayJob {
+  EthernetSpeaker* speaker = nullptr;
+  PendingPlay play;
+};
+
+// The decode/play scheduler every speaker's pipeline runs on. It turns
+// admitted decodes into simulation events: ONE event per distinct
+// decode-completion instant and ONE per distinct playout instant, however
+// many speakers the batch holds. Jobs that share an instant run in the
+// order given. A zone schedules all its members' admissions for one packet
+// at once; a standalone speaker schedules a batch of one.
+//
+// A waiting group is parked in a slot and its event captures only
+// (scheduler, slot), which std::function stores inline: each group costs
+// one allocation, its vector.
+class PipelineScheduler {
+ public:
+  explicit PipelineScheduler(Simulation* sim) : sim_(sim) {}
+  PipelineScheduler(const PipelineScheduler&) = delete;
+  PipelineScheduler& operator=(const PipelineScheduler&) = delete;
+
+  void ScheduleDecodes(std::vector<DecodeJob> jobs);
+
+ private:
+  template <typename Job>
+  struct Slots {
+    std::vector<std::vector<Job>> groups;
+    std::vector<uint32_t> free;
+    std::vector<Job> Take(uint32_t slot);
+  };
+
+  // Splits `jobs` (stably) by instant and parks each group.
+  template <typename Job>
+  void Schedule(std::vector<Job> jobs, Slots<Job>* slots);
+  template <typename Job>
+  void Park(SimTime at, std::vector<Job> group, Slots<Job>* slots);
+  void RunDecodes(uint32_t slot);
+  void RunPlays(uint32_t slot);
+
+  Simulation* sim_;
+  Slots<DecodeJob> decodes_;
+  Slots<PlayJob> plays_;
 };
 
 struct SpeakerStats {
@@ -197,24 +255,24 @@ class EthernetSpeaker {
 
   Simulation* sim() { return sim_; }
 
-  // Feeds a datagram as if it arrived on the NIC. The speaker installs
-  // itself as the NIC's receive handler at construction; components that
-  // share the NIC (e.g. the management agent) take the handler over and
-  // forward non-management traffic here.
+  // Feeds a datagram as if it arrived on the NIC: a batch of one through
+  // the speaker's own scheduler. The speaker installs itself as the NIC's
+  // receive handler at construction; components that share the NIC (e.g.
+  // the management agent) take the handler over and forward
+  // non-management traffic here.
   void HandleDatagram(const Datagram& datagram) { OnDatagram(datagram); }
 
-  // ------------------------------------------ batched pipeline surface --
-  // The sharded zone path parses a multicast packet ONCE per zone and feeds
-  // the shared result to every member through these three stages; the
-  // classic per-datagram path (OnDatagram) is built from exactly the same
-  // stages, so the two are behaviorally identical by construction — the
-  // property the 1-shard-vs-N-shard determinism test pins.
+  // ------------------------------------------------- pipeline surface --
+  // A zone parses a multicast packet ONCE and feeds the shared result to
+  // every member through these three stages; HandleDatagram runs the same
+  // stages for one speaker.
 
-  // Stage 1, at arrival time: admission (stats, auth, session routing by
-  // the datagram's `group`, control handling, dedup/overflow checks). Fills
-  // `*out` with the decode obligation for an admitted data packet;
-  // out->valid stays false otherwise.
-  void IngestParsed(const Result<ParsedPacket>& parsed, GroupId group,
+  // Stage 1, at arrival time: admission (stats, auth, control handling,
+  // dedup/overflow checks) for the session the datagram's group maps to;
+  // null when the speaker has none. Fills `*out` with the decode
+  // obligation for an admitted data packet; out->valid stays false
+  // otherwise.
+  void IngestParsed(const Result<ParsedPacket>& parsed, StreamSession* session,
                     PendingDecode* out);
   // Stage 2, at pending.decode_done: decode + deadline triage. An
   // early-arriving chunk becomes a playout obligation in `*out_play`;
@@ -227,10 +285,6 @@ class EthernetSpeaker {
   friend class StreamSession;
 
   void OnDatagram(const Datagram& datagram);
-  // Classic-path continuations: wrap a pending obligation in its own
-  // scheduled event (the zone path groups instead).
-  void CommitDecode(PendingDecode pending);
-  void CommitPlay(PendingPlay play);
   void Trace(uint32_t stream_id, uint32_t seq, TraceStage stage);
   StreamSession* FindSession(GroupId group);
   StreamSession* primary();
@@ -239,6 +293,8 @@ class EthernetSpeaker {
   Simulation* sim_;
   Transport* nic_;
   SpeakerOptions options_;
+  // Schedules what HandleDatagram admits (zone members use their zone's).
+  PipelineScheduler scheduler_;
 
   // Active subscriptions: group -> session, plus subscription order (the
   // front is the primary the legacy accessors expose).

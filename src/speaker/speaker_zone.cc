@@ -1,7 +1,5 @@
 #include "src/speaker/speaker_zone.h"
 
-#include <algorithm>
-#include <iterator>
 #include <utility>
 
 namespace espk {
@@ -14,8 +12,8 @@ int SpeakerZone::AddSpeaker(SimNic* nic, EthernetSpeaker* speaker) {
 void SpeakerZone::DeliverBatch(const Datagram& datagram,
                                std::vector<ZoneDeliveryEntry> entries) {
   // Parse ONCE for the whole zone. ParsePacket is a pure function of the
-  // payload bytes, so the shared result is byte-identical to what each
-  // member's classic per-speaker parse would have produced.
+  // payload bytes, so every member sees the same result a parse of its own
+  // would have produced.
   Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
   const SimTime now = sim_->now();
   std::vector<DecodeJob> jobs;
@@ -33,122 +31,25 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
                        std::vector<DecodeJob> late_jobs;
                        Ingest(members_[static_cast<size_t>(index)], datagram,
                               parsed, &late_jobs);
-                       ScheduleDecodeGroups(std::move(late_jobs));
+                       scheduler_.ScheduleDecodes(std::move(late_jobs));
                      });
   }
-  ScheduleDecodeGroups(std::move(jobs));
+  scheduler_.ScheduleDecodes(std::move(jobs));
 }
 
 void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
                          const Result<ParsedPacket>& parsed,
                          std::vector<DecodeJob>* jobs) {
+  StreamSession* session = member.speaker->session(datagram.group);
+  if (session == nullptr) {
+    member.nic->HandleArrival(datagram);
+    return;
+  }
   member.nic->NoteZoneDelivery(datagram.payload.size());
   PendingDecode pending;
-  member.speaker->IngestParsed(parsed, datagram.group, &pending);
+  member.speaker->IngestParsed(parsed, session, &pending);
   if (pending.valid) {
     jobs->push_back(DecodeJob{member.speaker, std::move(pending)});
-  }
-}
-
-void SpeakerZone::ScheduleDecodeGroups(std::vector<DecodeJob> jobs) {
-  if (jobs.empty()) {
-    return;
-  }
-  // Jitter-free common case: every member saw the same arrival and carries
-  // the same decode backlog, so the whole batch shares one decode instant.
-  // Schedule it as a single group without sorting or re-slicing — this is
-  // the path the fleet bench's throughput claim rests on.
-  bool uniform = true;
-  for (size_t k = 1; k < jobs.size(); ++k) {
-    if (jobs[k].pending.decode_done != jobs[0].pending.decode_done) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    const SimTime at = jobs[0].pending.decode_done;
-    sim_->ScheduleAt(at, [this, group = std::move(jobs)]() mutable {
-      RunDecodeGroup(std::move(group));
-    });
-    return;
-  }
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const DecodeJob& a, const DecodeJob& b) {
-                     return a.pending.decode_done < b.pending.decode_done;
-                   });
-  size_t i = 0;
-  while (i < jobs.size()) {
-    size_t j = i + 1;
-    while (j < jobs.size() &&
-           jobs[j].pending.decode_done == jobs[i].pending.decode_done) {
-      ++j;
-    }
-    const SimTime at = jobs[i].pending.decode_done;
-    std::vector<DecodeJob> group(
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j)));
-    sim_->ScheduleAt(at, [this, group = std::move(group)]() mutable {
-      RunDecodeGroup(std::move(group));
-    });
-    i = j;
-  }
-}
-
-void SpeakerZone::RunDecodeGroup(std::vector<DecodeJob> jobs) {
-  std::vector<PlayJob> plays;
-  plays.reserve(jobs.size());
-  for (DecodeJob& job : jobs) {
-    PendingPlay play;
-    job.speaker->RunDecode(job.pending, &play);
-    if (play.valid) {
-      plays.push_back(PlayJob{job.speaker, std::move(play)});
-    }
-  }
-  SchedulePlayGroups(std::move(plays));
-}
-
-void SpeakerZone::SchedulePlayGroups(std::vector<PlayJob> jobs) {
-  if (jobs.empty()) {
-    return;
-  }
-  // Same single-instant fast path as ScheduleDecodeGroups: one shared play
-  // deadline per batch unless jitter or divergent backlogs split it.
-  bool uniform = true;
-  for (size_t k = 1; k < jobs.size(); ++k) {
-    if (jobs[k].play.at != jobs[0].play.at) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    const SimTime at = jobs[0].play.at;
-    sim_->ScheduleAt(at, [group = std::move(jobs)]() mutable {
-      for (PlayJob& job : group) {
-        job.speaker->RunPlay(std::move(job.play));
-      }
-    });
-    return;
-  }
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const PlayJob& a, const PlayJob& b) {
-                     return a.play.at < b.play.at;
-                   });
-  size_t i = 0;
-  while (i < jobs.size()) {
-    size_t j = i + 1;
-    while (j < jobs.size() && jobs[j].play.at == jobs[i].play.at) {
-      ++j;
-    }
-    const SimTime at = jobs[i].play.at;
-    std::vector<PlayJob> group(
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j)));
-    sim_->ScheduleAt(at, [group = std::move(group)]() mutable {
-      for (PlayJob& job : group) {
-        job.speaker->RunPlay(std::move(job.play));
-      }
-    });
-    i = j;
   }
 }
 

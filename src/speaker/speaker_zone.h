@@ -1,26 +1,30 @@
-// SpeakerZone: one shard's batch receiver for the fleet-scale runtime.
+// SpeakerZone: one shard's batch receiver — the way every speaker of an
+// EthernetSpeakerSystem receives, whether the system has one zone or many.
 //
-// The classic delivery path costs one scheduled event + one packet parse
-// per speaker per packet. A zone collapses that to per-PACKET cost: the
-// segment hands the zone ONE message carrying the shared payload slice and
-// a member list (src/lan/segment.h ZoneSink); the zone parses once, runs
-// every member's admission stage inline, then schedules ONE event per
+// Delivering to speakers one by one would cost one scheduled event + one
+// packet parse per speaker per packet. A zone collapses that to per-PACKET
+// cost: the segment hands the zone ONE message carrying the shared payload
+// slice and a member list (src/lan/segment.h ZoneSink); the zone parses
+// once, runs every member's admission stage inline, and its
+// PipelineScheduler (src/speaker/speaker.h) schedules ONE event per
 // distinct decode-completion instant and ONE per distinct playout instant
 // for the whole zone. On a symmetric fleet (same codec config, idle
 // pipelines) those instants coincide across members, so a 1000-speaker
 // zone rides three events per packet instead of three thousand.
 //
-// Every member stage is the speaker's own batched pipeline surface
-// (IngestParsed / RunDecode / RunPlay — src/speaker/speaker.h), the same
-// stages the classic path wraps one-per-event, so zone playback is
-// behaviorally identical to classic playback by construction.
-//
 // A zone is NOT one stream: the segment filters each transmission by group
 // membership before batching, so a batch's entry list is exactly the
 // (group -> member-speaker subset) of this zone subscribed to the packet's
 // group, and each member routes the parse result to its own per-group
-// StreamSession. Zones with members on several channels ride the same
-// batched path with no extra events.
+// StreamSession. A datagram for a group the member has no session on —
+// management or announce traffic for a component sharing the speaker's
+// NIC, or stale audio after a leave — goes to the NIC's receive handler
+// instead, exactly as the segment delivers to NICs outside a zone.
+//
+// Such components must live on the zone's shard: a handler runs there, so
+// on a multi-zone system an agent on a speaker outside zone 0 would run on
+// one shard and transmit through the segment's (zone 0's). That is not
+// supported; put management agents on zone-0 speakers.
 #ifndef SRC_SPEAKER_SPEAKER_ZONE_H_
 #define SRC_SPEAKER_SPEAKER_ZONE_H_
 
@@ -35,7 +39,7 @@ namespace espk {
 
 class SpeakerZone : public ZoneSink {
  public:
-  explicit SpeakerZone(Simulation* sim) : sim_(sim) {}
+  explicit SpeakerZone(Simulation* sim) : sim_(sim), scheduler_(sim) {}
 
   // Registers a member and returns its index (the `member` tag the segment
   // stamps on deliveries via AssignZone). The zone borrows both pointers;
@@ -52,26 +56,15 @@ class SpeakerZone : public ZoneSink {
     SimNic* nic = nullptr;
     EthernetSpeaker* speaker = nullptr;
   };
-  struct DecodeJob {
-    EthernetSpeaker* speaker = nullptr;
-    PendingDecode pending;
-  };
-  struct PlayJob {
-    EthernetSpeaker* speaker = nullptr;
-    PendingPlay play;
-  };
 
-  // Admission for one member at its arrival instant; appends the decode
-  // obligation (if the packet was accepted) to `jobs`.
+  // One member's arrival: admission (appending the decode obligation, if
+  // any, to `jobs`), or the NIC's receive handler when the member has no
+  // session for the group.
   void Ingest(const Member& member, const Datagram& datagram,
               const Result<ParsedPacket>& parsed, std::vector<DecodeJob>* jobs);
-  // Groups jobs by decode_done / play-at instant and schedules one event
-  // per distinct instant — the zone path's whole reason to exist.
-  void ScheduleDecodeGroups(std::vector<DecodeJob> jobs);
-  void RunDecodeGroup(std::vector<DecodeJob> jobs);
-  void SchedulePlayGroups(std::vector<PlayJob> jobs);
 
   Simulation* sim_;
+  PipelineScheduler scheduler_;
   std::vector<Member> members_;
 };
 

@@ -84,13 +84,18 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
     ++speaker_->stats_.waiting_drops;
     return;
   }
-  if (any_data_seen_ && packet.seq <= highest_seq_seen_ &&
-      highest_seq_seen_ - packet.seq < 1000) {
+  // RFC 1982 serial arithmetic: `ahead` is how far this seq lies past the
+  // highest seen, correct across the 2^32 wrap. A seq 0..999 behind is a
+  // replay.
+  const auto ahead = static_cast<int32_t>(packet.seq - highest_seq_seen_);
+  if (any_data_seen_ && ahead <= 0 && ahead > -1000) {
     ++speaker_->stats_.duplicate_drops;
     return;
   }
+  if (!any_data_seen_ || ahead > 0) {
+    highest_seq_seen_ = packet.seq;
+  }
   any_data_seen_ = true;
-  highest_seq_seen_ = std::max(highest_seq_seen_, packet.seq);
 
   // Buffer accounting uses the decoded size; refuse when full (§3.1 — this
   // is the buffer a non-rate-limited producer overflows). The capacity is a

@@ -116,6 +116,34 @@ TEST_F(MgmtFixture, GetNameAndStats) {
   EXPECT_GT(std::stoul(responses[0].value), 0u);
 }
 
+// The agent shares its speaker's NIC, and the speaker receives through its
+// zone on every zone count: the zone must hand management frames to the
+// NIC's handler, not to the speaker (whose parse would count them bad).
+TEST(MgmtZoneTest, AgentOnZoneSpeakerAnswersOnEveryZoneCount) {
+  for (int zones : {1, 2}) {
+    SystemOptions options;
+    options.sharded.zones = zones;
+    EthernetSpeakerSystem system(options);
+    Channel* channel = *system.CreateChannel("music");
+    SpeakerOptions so;
+    so.name = "es-0";
+    EthernetSpeaker* speaker = *system.AddSpeaker(so, channel->group);
+    ASSERT_EQ(system.ZoneOf(0), 0);
+    SpeakerAgent agent(system.sim(), system.NicOf(speaker), speaker);
+    auto console_nic = system.lan()->CreateNic();
+    MgmtConsole console(system.sim(), console_nic.get());
+    system.RunUntil(Milliseconds(100));
+
+    std::vector<MgmtResponse> responses;
+    console.Get(0, MibOidName(),
+                [&](const MgmtResponse& r) { responses.push_back(r); });
+    system.RunFor(Milliseconds(100));
+    ASSERT_EQ(responses.size(), 1u) << "zones=" << zones;
+    EXPECT_EQ(responses[0].value, "es-0") << "zones=" << zones;
+    EXPECT_EQ(speaker->stats().bad_packets, 0u) << "zones=" << zones;
+  }
+}
+
 TEST_F(MgmtFixture, SetVolumeTakesEffect) {
   system_.sim()->RunUntil(Seconds(1));
   bool ok = false;

@@ -118,6 +118,44 @@ TEST(RecorderTest, ExportWavRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(RecorderTest, FarAheadSeqPadsABoundedGap) {
+  // One CRC-valid packet 2^31 seqs ahead must not make Assemble() pad 2^31
+  // packets of silence: the fill per gap is capped at 1000 packets.
+  Simulation sim;
+  EthernetSegment segment(&sim, SegmentConfig{});
+  auto producer = segment.CreateNic();
+  auto nic = segment.CreateNic();
+  StreamRecorder recorder(&sim, nic.get());
+  ASSERT_TRUE(recorder.StartRecording(kFirstChannelGroup).ok());
+  const AudioConfig config{8000, 1, AudioEncoding::kLinearS16};
+  ControlPacket control;
+  control.stream_id = 1;
+  control.control_seq = 1;
+  control.config = config;
+  control.codec = CodecId::kRaw;
+  ASSERT_TRUE(
+      producer->SendMulticast(kFirstChannelGroup, SerializePacket(control))
+          .ok());
+  constexpr int64_t kFrames = 80;
+  for (uint32_t seq : {0u, 1u << 31}) {
+    DataPacket data;
+    data.stream_id = 1;
+    data.seq = seq;
+    data.frame_count = kFrames;
+    data.payload = SineGenerator(440.0).GenerateBytes(kFrames, config);
+    ASSERT_TRUE(
+        producer->SendMulticast(kFirstChannelGroup, SerializePacket(data))
+            .ok());
+  }
+  sim.Run();
+  ASSERT_EQ(recorder.stats().chunks_recorded, 2u);
+
+  PcmBuffer take = recorder.Assemble();
+  EXPECT_EQ(recorder.stats().gaps_filled, 1000u);
+  EXPECT_EQ(take.frames(), (2 + 1000) * kFrames);
+  EXPECT_EQ(take.frames(), recorder.stats().frames_recorded);
+}
+
 TEST(RecorderTest, ExportBeforeAnythingCapturedFails) {
   RecorderRig rig;
   EXPECT_FALSE(rig.recorder->ExportWav("/tmp/espk_nothing.wav").ok());

@@ -1,9 +1,10 @@
 // The sharded runtime's headline guarantee, end to end: the SAME fleet run
-// on one shard (the classic single-loop path) and on four shards (zone
-// batching, SPSC handoff, epoch barriers) — with one executor thread or
-// several — produces bit-identical results. "Results" is taken broadly:
-// every speaker's stats struct, its rendered PCM, the LAN's wire
-// accounting, and the merged per-packet trace streams.
+// in one zone (one event loop) and in four zones (SPSC handoff, epoch
+// barriers) — with one executor thread or several — produces bit-identical
+// results. "Results" is taken broadly: every speaker's stats struct, its
+// rendered PCM, the LAN's wire accounting, and the merged per-packet trace
+// streams. Standalone speakers, each a batch of one, are the reference for
+// zone batching itself.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -423,6 +424,74 @@ TEST(ShardedDeterminismTest, ObservabilityStaysBitIdenticalUnderJitterLoss) {
   ObsResult sharded = RunObsFleet(4, 2, jitter, loss);
   EXPECT_GT(classic.base.lan.deliveries_lost, 0u);  // Loss actually drew.
   ExpectObsIdentical(classic, sharded);
+}
+
+// The batching reference. Every system speaker receives through a zone,
+// zones = 1 included, so the independent per-speaker reference is a
+// standalone EthernetSpeaker on its own NIC of the same segment: a batch
+// of one on its own scheduler. On a clean LAN it hears every packet at the
+// same instant as its zone twin and must end with identical stats and PCM.
+// Distinct decode speeds split each zone's batches over several instants.
+TEST(ShardedDeterminismTest, ZoneSpeakersMatchStandaloneSpeakers) {
+  for (int zones : {1, 4}) {
+    SystemOptions options;
+    options.sharded.zones = zones;
+    EthernetSpeakerSystem system(options);
+    Channel* channel = *system.CreateChannel("music");
+    constexpr int kSpeakers = 4;
+    std::vector<std::unique_ptr<SimNic>> nics;
+    std::vector<std::unique_ptr<EthernetSpeaker>> standalone;
+    for (int i = 0; i < kSpeakers; ++i) {
+      SpeakerOptions speaker_options;
+      speaker_options.name = "es" + std::to_string(i);
+      speaker_options.decode_speed_factor = 0.05 * (i + 1);
+      (void)*system.AddSpeaker(speaker_options, channel->group);
+      nics.push_back(system.lan()->CreateNic());
+      standalone.push_back(std::make_unique<EthernetSpeaker>(
+          system.sim(), nics.back().get(), speaker_options));
+      ASSERT_TRUE(standalone.back()->Subscribe(channel->group).ok());
+    }
+    PlayerAppOptions player_options;
+    player_options.config = AudioConfig::CdQuality();
+    ASSERT_TRUE(system
+                    .StartPlayer(channel,
+                                 std::make_unique<MusicLikeGenerator>(11),
+                                 player_options)
+                    .ok());
+    system.RunUntil(Seconds(3));
+
+    for (size_t i = 0; i < kSpeakers; ++i) {
+      EthernetSpeaker& zoned = *system.speakers()[i];
+      EthernetSpeaker& alone = *standalone[i];
+      ASSERT_GT(alone.stats().chunks_played, 25u);
+      EXPECT_TRUE(zoned.stats() == alone.stats())
+          << "speaker " << i << " zones=" << zones;
+      EXPECT_EQ(zoned.output()->Render(Seconds(1), Seconds(1)),
+                alone.output()->Render(Seconds(1), Seconds(1)))
+          << "speaker " << i << " zones=" << zones;
+    }
+  }
+}
+
+// The group clock is shard 0's, so a one-zone system may be driven through
+// sim() and the system-level calls interchangeably.
+TEST(ShardedDeterminismTest, MixedDrivingKeepsOneClock) {
+  EthernetSpeakerSystem system;
+  Channel* channel = *system.CreateChannel("music");
+  EthernetSpeaker* speaker =
+      *system.AddSpeaker(SpeakerOptions{}, channel->group);
+  PlayerAppOptions player_options;
+  player_options.config = AudioConfig::CdQuality();
+  ASSERT_TRUE(system
+                  .StartPlayer(channel,
+                               std::make_unique<MusicLikeGenerator>(11),
+                               player_options)
+                  .ok());
+  system.sim()->RunUntil(Seconds(2));
+  system.RunFor(Seconds(1));
+  EXPECT_EQ(system.now(), Seconds(3));
+  EXPECT_EQ(system.sim()->now(), Seconds(3));
+  EXPECT_GT(speaker->stats().chunks_played, 0u);
 }
 
 TEST(ShardedDeterminismTest, ZonePlacementRoundRobinsAndBlocks) {

@@ -191,6 +191,21 @@ TEST(SpeakerTest, DuplicateSequenceDropped) {
   EXPECT_EQ(h.speaker_.stats().duplicate_drops, 1u);
 }
 
+TEST(SpeakerTest, ReplayAfterSequenceWrapDropped) {
+  SpeakerHarness h;
+  h.Deliver(h.MakeControl(0));
+  // A stream that started near 2^32 and has wrapped past it.
+  for (uint32_t seq = 0xFFFFFFFDu; seq != 3; ++seq) {
+    h.Deliver(h.MakeData(seq, Milliseconds(100), 80));
+  }
+  EXPECT_EQ(h.speaker_.stats().duplicate_drops, 0u);
+  h.Deliver(h.MakeData(1, Milliseconds(100), 80));  // Replay.
+  h.Deliver(h.MakeData(0xFFFFFFFEu, Milliseconds(100), 80));  // Replay.
+  EXPECT_EQ(h.speaker_.stats().duplicate_drops, 2u);
+  h.sim_.Run();
+  EXPECT_EQ(h.speaker_.stats().chunks_played, 6u);
+}
+
 TEST(SpeakerTest, CorruptDatagramCountedNotCrashed) {
   SpeakerHarness h;
   Datagram d;

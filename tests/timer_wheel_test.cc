@@ -1,14 +1,18 @@
 // TimerWheel and EventMap (src/sim): the wheel must agree with a plain
 // (time, seq) ordering oracle on every pop — including same-instant FIFO —
-// because both the simulation's event contract and the sharded runtime's
-// bit-identity guarantee rest on it. The EventMap must behave exactly like
-// the std::unordered_map it replaced through arbitrary insert/erase churn.
+// and the Simulation built on them with the binary-heap event loop it
+// replaced, because both the simulation's event contract and the sharded
+// runtime's bit-identity guarantee rest on it. The EventMap must behave
+// exactly like the std::unordered_map it replaced through arbitrary
+// insert/erase churn.
 #include "src/sim/timer_wheel.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,15 +199,61 @@ TEST(TimerWheelTest, InterleavedScheduleAndPopAgainstOracle) {
   ExpectDrainsInOrder(&wheel, pending);
 }
 
-// Both queue engines must produce the identical execution: same callback
+// The binary-heap event loop the timer wheel replaced, kept here as the
+// reference Simulation must match: a (time, seq) priority queue of stubs,
+// callbacks in an id-keyed map, cancelled ids skipped when they pop.
+class HeapEventLoop {
+ public:
+  using EventHandle = Simulation::EventHandle;
+
+  SimTime now() const { return now_; }
+
+  EventHandle ScheduleAt(SimTime at, std::function<void()> cb) {
+    const TimerEntry ev{std::max(at, now_), next_seq_++, next_id_++};
+    callbacks_.emplace(ev.id, std::move(cb));
+    queue_.push(ev);
+    return EventHandle{ev.id};
+  }
+
+  bool Cancel(EventHandle handle) { return callbacks_.erase(handle.id) > 0; }
+
+  void Run() {
+    while (!queue_.empty()) {
+      const TimerEntry ev = queue_.top();
+      queue_.pop();
+      auto it = callbacks_.find(ev.id);
+      if (it == callbacks_.end()) {
+        continue;  // Cancelled.
+      }
+      std::function<void()> cb = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = ev.time;
+      cb();
+    }
+  }
+
+ private:
+  struct Later {
+    bool operator()(const TimerEntry& a, const TimerEntry& b) const {
+      return OracleBefore(b, a);
+    }
+  };
+
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t next_id_ = 1;
+  std::priority_queue<TimerEntry, std::vector<TimerEntry>, Later> queue_;
+  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
+};
+
+// Simulation must produce the reference's execution exactly: same callback
 // order, same clock, same Cancel semantics. This is the bit-identity
 // foundation everything above the simulation relies on.
 TEST(SimulationEngineTest, WheelAndHeapExecuteIdentically) {
   Prng seeds(99);
   for (int round = 0; round < 10; ++round) {
     const uint64_t seed = seeds.NextBelow(1u << 30);
-    auto run = [seed](QueueEngine engine) {
-      Simulation sim(engine);
+    auto run = [seed](auto& sim) {
       Prng prng(seed);
       std::vector<std::pair<uint64_t, SimTime>> executed;
       std::vector<Simulation::EventHandle> handles;
@@ -232,8 +282,10 @@ TEST(SimulationEngineTest, WheelAndHeapExecuteIdentically) {
       sim.Run();
       return executed;
     };
-    auto wheel_trace = run(QueueEngine::kTimerWheel);
-    auto heap_trace = run(QueueEngine::kBinaryHeap);
+    Simulation wheel;
+    HeapEventLoop heap;
+    auto wheel_trace = run(wheel);
+    auto heap_trace = run(heap);
     ASSERT_EQ(wheel_trace, heap_trace) << "engines diverged, seed " << seed;
   }
 }
