@@ -13,8 +13,8 @@
 // is roughly flat over time.
 // Besides the printed table, writes BENCH_fig4_compression_cpu.json with the
 // per-series CPU means and the per-packet encode-cost distribution pulled
-// from the system's own MetricsRegistry ("rebroadcast.<id>.encode_ms"
-// histograms, merged across streams) — the same telemetry an NMS would walk.
+// from each channel's station registry ("rebroadcast.encode_ms" on
+// "rb-<sid>", merged across streams) — the same telemetry an NMS would walk.
 #include <algorithm>
 #include <vector>
 
@@ -104,15 +104,14 @@ SeriesResult RunStreams(int streams, int seconds) {
   }
   result.mean = acc / static_cast<double>(result.cpu_percent.size());
 
-  // Harvest the per-stream encode-cost histograms the system registered.
+  // Harvest each channel's encode-cost histogram from its "rb-<sid>"
+  // station.
   std::vector<const Histogram*> hists;
   double weighted_mean = 0.0;
-  for (const auto& entry : system.metrics()->entries()) {
-    if (entry.metric->kind() != Metric::Kind::kHistogram ||
-        !entry.name.ends_with(".encode_ms")) {
-      continue;
-    }
-    const auto* h = static_cast<const HistogramMetric*>(entry.metric);
+  for (Channel* channel : channels) {
+    const auto* h = static_cast<const HistogramMetric*>(
+        system.FindStation("rb-" + std::to_string(channel->stream_id))
+            ->registry->Find("rebroadcast.encode_ms"));
     hists.push_back(&h->histogram());
     result.encode_count += static_cast<uint64_t>(h->running().count());
     weighted_mean +=

@@ -36,6 +36,9 @@ std::vector<uint8_t> RingBuffer::ReadUpTo(size_t len) {
 
 size_t RingBuffer::Peek(uint8_t* out, size_t len) const {
   size_t to_read = std::min(len, size_);
+  if (to_read == 0) {
+    return 0;  // `out` may be null (an empty vector's data()).
+  }
   size_t first = std::min(to_read, capacity() - head_);
   std::memcpy(out, buf_.data() + head_, first);
   std::memcpy(out + first, buf_.data(), to_read - first);

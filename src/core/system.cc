@@ -115,18 +115,6 @@ Station* EthernetSpeakerSystem::FindStation(const std::string& name) {
   return nullptr;
 }
 
-void EthernetSpeakerSystem::AliasStationEntries(
-    const MetricsRegistry* station_registry, const std::string& local_prefix,
-    const std::string& flat_prefix) {
-  for (const MetricsEntry& entry : station_registry->entries()) {
-    std::string flat = entry.name;
-    if (flat.rfind(local_prefix, 0) == 0) {
-      flat = flat_prefix + flat.substr(local_prefix.size());
-    }
-    metrics_.Alias(flat, entry.metric);
-  }
-}
-
 EthernetSpeakerSystem::~EthernetSpeakerSystem() {
   // Producers and players hold kernel fds; stop them before the kernel's
   // device table unwinds.
@@ -173,8 +161,7 @@ Result<Channel*> EthernetSpeakerSystem::CreateChannel(
   rb_options.channel_name = name;
   rb_options.tracer = home_tracer();
   // The channel's metrics live on its own station registry ("rb-<sid>",
-  // scraped by the fleet collector) under local names; the system registry
-  // aliases them back under the flat legacy prefix.
+  // scraped by the fleet collector) and nowhere else.
   MetricsRegistry* station =
       AddStation("rb-" + std::to_string(channel->stream_id));
   rb_options.encode_ms_histogram = station->GetHistogram(
@@ -214,9 +201,6 @@ Result<Channel*> EthernetSpeakerSystem::CreateChannel(
       "rebroadcast.encode_cpu_seconds",
       [rb] { return rb->encode_cpu_seconds(); },
       "Total host CPU spent inside the codec");
-  AliasStationEntries(station, "rebroadcast.",
-                      "rebroadcast." + std::to_string(channel->stream_id) +
-                          ".");
 
   channels_.push_back(std::move(channel));
   if (spans_ != nullptr) {
@@ -263,8 +247,7 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
       zones();
   options.tracer = zone_tracer(zone);
   // Same per-station ownership as channels: the speaker's metrics live on
-  // station "es-<i>" under local names, aliased into the system registry
-  // under the flat "speaker.<i>." prefix the health rules watch.
+  // station "es-<i>" and nowhere else.
   MetricsRegistry* station = AddStation("es-" + std::to_string(index));
   options.lateness_histogram = station->GetHistogram(
       "speaker.lateness_ms", -500.0, 500.0, 100,
@@ -308,8 +291,6 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
       "speaker.subscriptions",
       [sp] { return static_cast<double>(sp->subscriptions().size()); },
       "Concurrently subscribed streams");
-  AliasStationEntries(station, "speaker.",
-                      "speaker." + std::to_string(index) + ".");
   speaker_nics_.push_back(std::move(nic));
   speakers_.push_back(std::move(speaker));
   if (spans_ != nullptr) {
@@ -409,7 +390,8 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
   health_ = std::make_unique<HealthMonitor>(&sim_, &metrics_, &tracer_,
                                             options);
 
-  health_->Watch("lan.packets_dropped_queue");
+  health_->Watch("lan.packets_dropped_queue",
+                 metrics_.Find("lan.packets_dropped_queue"));
   health_->AddRule(
       {.name = "lan.queue_drop_rate",
        .series = "lan.packets_dropped_queue",
@@ -423,7 +405,9 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
 
   for (size_t i = 0; i < speakers_.size(); ++i) {
     const std::string prefix = "speaker." + std::to_string(i);
-    health_->Watch(prefix + ".late_drops");
+    const MetricsRegistry& station =
+        *FindStation("es-" + std::to_string(i))->registry;
+    health_->Watch(prefix + ".late_drops", station.Find("speaker.late_drops"));
     health_->AddRule(
         {.name = prefix + ".deadline_miss_rate",
          .series = prefix + ".late_drops",
@@ -435,7 +419,8 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .clear_duration = rules.clear_duration,
          .help = "Chunks are arriving past deadline + epsilon and being "
                  "discarded"});
-    health_->Watch(prefix + ".queued_pcm_bytes");
+    health_->Watch(prefix + ".queued_pcm_bytes",
+                   station.Find("speaker.queued_pcm_bytes"));
     health_->AddRule(
         {.name = prefix + ".jitter_low_watermark",
          .series = prefix + ".queued_pcm_bytes",
@@ -449,7 +434,8 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          // has filled it.
          .requires_arming = true,
          .help = "Jitter buffer starved — no decoded audio awaiting play"});
-    health_->WatchPercentile(prefix + ".lateness_ms", 0.99);
+    health_->WatchPercentile(prefix + ".lateness_ms",
+                             station.Find("speaker.lateness_ms"), 0.99);
     health_->AddRule(
         {.name = prefix + ".sync_drift",
          .series = prefix + ".lateness_ms.p99",
@@ -460,7 +446,7 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .for_duration = rules.for_duration,
          .clear_duration = rules.clear_duration,
          .help = "p99 decode lateness is approaching the sync epsilon"});
-    health_->Watch(prefix + ".silence_ms");
+    health_->Watch(prefix + ".silence_ms", station.Find("speaker.silence_ms"));
     health_->AddRule(
         {.name = prefix + ".silence_rate",
          .series = prefix + ".silence_ms",

@@ -73,9 +73,8 @@ struct Channel {
 
 // One station of the distributed telemetry plane: a named participant
 // (every speaker "es-<i>", every rebroadcaster "rb-<stream_id>") owning the
-// registry its metrics live in. The fleet collector scrapes these; the
-// system-wide registry re-exports every station metric under its flat
-// legacy name via MetricsRegistry::Alias.
+// registry its metrics live in — the only registry they live in. The fleet
+// collector scrapes these.
 struct Station {
   std::string name;
   std::unique_ptr<MetricsRegistry> registry;
@@ -117,12 +116,11 @@ class EthernetSpeakerSystem {
   void RunFor(SimDuration d) { shards_.RunFor(d); }
   SimTime now() const { return shards_.now(); }
 
-  // Telemetry for the whole system. Kernel, LAN, and tracer metrics live
-  // here natively; per-station metrics (speakers, rebroadcasters) are owned
-  // by their station's registry and aliased in under flat names
-  // ("speaker.<i>.late_drops"), so this registry still sees everything —
-  // export to a MIB with ExportMetricsToMib (src/mgmt/metrics_mib.h) or
-  // dump with metrics()->TextExposition().
+  // The console's registry: system-wide telemetry only (kernel, LAN,
+  // tracer, alerts, spans, scrape). Speaker and channel metrics live on
+  // their stations alone (see stations()). Export to a MIB with
+  // ExportMetricsToMib (src/mgmt/metrics_mib.h) or dump with
+  // metrics()->TextExposition().
   MetricsRegistry* metrics() { return &metrics_; }
   PacketTracer* tracer() { return &tracer_; }
 
@@ -157,8 +155,10 @@ class EthernetSpeakerSystem {
 
   // Builds the health layer (sampler + SLO alert engine + flight recorder)
   // over this system's metrics, installs the default rule set for the LAN
-  // and every speaker added so far, and starts sampling. Call once, after
-  // the system is assembled. Null until then.
+  // and every speaker added so far, and starts sampling. Speaker i's
+  // signals are read from station "es-<i>" and sampled as series
+  // "speaker.<i>.<signal>". Call once, after the system is assembled. Null
+  // until then.
   HealthMonitor* EnableHealthMonitoring(const HealthOptions& options,
                                         const HealthRuleDefaults& rules);
   HealthMonitor* EnableHealthMonitoring(const HealthOptions& options = {});
@@ -269,12 +269,6 @@ class EthernetSpeakerSystem {
 
   // Creates the station and returns its registry (owned by stations_).
   MetricsRegistry* AddStation(const std::string& name);
-  // Aliases every entry of `station_registry` into the system registry,
-  // rewriting a leading `local_prefix` ("speaker.") to `flat_prefix`
-  // ("speaker.0.") so legacy flat names keep resolving.
-  void AliasStationEntries(const MetricsRegistry* station_registry,
-                           const std::string& local_prefix,
-                           const std::string& flat_prefix);
 
   SystemOptions options_;
   // The shard group owns every zone's Simulation; sim_ aliases shard 0's so
@@ -294,9 +288,9 @@ class EthernetSpeakerSystem {
   // before the component vectors; it holds no pointers into them (bindings
   // are pushed copies).
   SubscriptionDirectory directory_;
-  // Station registries own per-component metrics that components (and the
-  // aliases in metrics_) point into; declared before the component vectors
-  // so every instrumented component unwinds first.
+  // Station registries own per-component metrics that components point
+  // into; declared before the component vectors so every instrumented
+  // component unwinds first.
   std::vector<std::unique_ptr<Station>> stations_;
   // Per-zone tracers, empty when zones = 1 (every zone, including zone 0,
   // records into its own; tracer_ becomes the barrier-merged mirror), and

@@ -14,9 +14,8 @@ std::string FormatDouble(double x) {
   return buf;
 }
 
-std::string Describe(const std::string& name, const Metric& metric,
-                     const char* aspect) {
-  std::string description = name;
+std::string Describe(const Metric& metric, const char* aspect) {
+  std::string description = metric.name();
   description += " ";
   description += aspect;
   if (!metric.help().empty()) {
@@ -40,14 +39,13 @@ size_t ExportMetricsToMib(const MetricsRegistry* registry, Mib* mib) {
   size_t registered = 0;
   const auto& entries = registry->entries();
   for (size_t i = 0; i < entries.size(); ++i) {
-    const std::string& name = entries[i].name;
-    const Metric* metric = entries[i].metric;
+    const Metric* metric = entries[i].get();
     const uint32_t arc = static_cast<uint32_t>(i + 1);
     switch (metric->kind()) {
       case Metric::Kind::kCounter: {
         const auto* counter = static_cast<const Counter*>(metric);
         RegisterReadOnly(mib, EspkOid({9, arc, 1}),
-                         Describe(name, *metric, "(counter)"), [counter] {
+                         Describe(*metric, "(counter)"), [counter] {
                            return std::to_string(counter->value());
                          });
         registered += 1;
@@ -56,7 +54,7 @@ size_t ExportMetricsToMib(const MetricsRegistry* registry, Mib* mib) {
       case Metric::Kind::kGauge: {
         const auto* gauge = static_cast<const Gauge*>(metric);
         RegisterReadOnly(mib, EspkOid({9, arc, 1}),
-                         Describe(name, *metric, "(gauge)"),
+                         Describe(*metric, "(gauge)"),
                          [gauge] { return FormatDouble(gauge->Value()); });
         registered += 1;
         break;
@@ -64,20 +62,20 @@ size_t ExportMetricsToMib(const MetricsRegistry* registry, Mib* mib) {
       case Metric::Kind::kHistogram: {
         const auto* histogram = static_cast<const HistogramMetric*>(metric);
         RegisterReadOnly(mib, EspkOid({9, arc, 1}),
-                         Describe(name, *metric, "count"), [histogram] {
+                         Describe(*metric, "count"), [histogram] {
                            return std::to_string(histogram->running().count());
                          });
         RegisterReadOnly(mib, EspkOid({9, arc, 2}),
-                         Describe(name, *metric, "mean"), [histogram] {
+                         Describe(*metric, "mean"), [histogram] {
                            return FormatDouble(histogram->running().mean());
                          });
         RegisterReadOnly(mib, EspkOid({9, arc, 3}),
-                         Describe(name, *metric, "p50"), [histogram] {
+                         Describe(*metric, "p50"), [histogram] {
                            return FormatDouble(
                                histogram->histogram().Percentile(0.5));
                          });
         RegisterReadOnly(mib, EspkOid({9, arc, 4}),
-                         Describe(name, *metric, "p99"), [histogram] {
+                         Describe(*metric, "p99"), [histogram] {
                            return FormatDouble(
                                histogram->histogram().Percentile(0.99));
                          });

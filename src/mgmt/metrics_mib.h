@@ -1,8 +1,10 @@
 // Bridge from the metrics registry (src/obs) to the enterprise MIB (§5.3):
 // every registered metric becomes one or more read-only OIDs under
-// 1.3.6.1.4.1.9999.9, so an NMS walk of a running system enumerates live
-// kernel, rebroadcaster, speaker, and LAN telemetry without any per-metric
-// glue. Lives in mgmt (not obs) so the low-level obs library stays free of
+// 1.3.6.1.4.1.9999.9, so an NMS walk enumerates live telemetry without any
+// per-metric glue. One MIB per station, as each speaker has its own agent
+// and MIB: the system registry gives the console's kernel and LAN view, a
+// speaker's "es-<i>" or a channel's "rb-<sid>" registry that component's.
+// Lives in mgmt (not obs) so the low-level obs library stays free of
 // management-protocol dependencies.
 #ifndef SRC_MGMT_METRICS_MIB_H_
 #define SRC_MGMT_METRICS_MIB_H_

@@ -122,21 +122,21 @@ StationSnapshot SnapshotRegistry(const MetricsRegistry& registry,
   snapshot.station = std::move(station);
   snapshot.at = at;
   snapshot.samples.reserve(registry.entries().size());
-  for (const MetricsEntry& entry : registry.entries()) {
+  for (const auto& metric : registry.entries()) {
     MetricSample sample;
-    sample.name = entry.name;
-    sample.help = entry.metric->help();
-    sample.kind = entry.metric->kind();
-    switch (entry.metric->kind()) {
+    sample.name = metric->name();
+    sample.help = metric->help();
+    sample.kind = metric->kind();
+    switch (metric->kind()) {
       case Metric::Kind::kCounter:
         sample.value = static_cast<double>(
-            static_cast<const Counter*>(entry.metric)->value());
+            static_cast<const Counter*>(metric.get())->value());
         break;
       case Metric::Kind::kGauge:
-        sample.value = static_cast<const Gauge*>(entry.metric)->Value();
+        sample.value = static_cast<const Gauge*>(metric.get())->Value();
         break;
       case Metric::Kind::kHistogram: {
-        const auto* hm = static_cast<const HistogramMetric*>(entry.metric);
+        const auto* hm = static_cast<const HistogramMetric*>(metric.get());
         const Histogram& hist = hm->histogram();
         HistogramSnapshot& h = sample.histogram;
         h.lo = hist.lo();

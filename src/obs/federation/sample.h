@@ -67,7 +67,7 @@ struct StationSnapshot {
   }
 };
 
-// Snapshots every entry of `registry` (aliases included) as of `at`.
+// Snapshots every metric of `registry` as of `at`.
 StationSnapshot SnapshotRegistry(const MetricsRegistry& registry,
                                  std::string station, SimTime at);
 

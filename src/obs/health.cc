@@ -8,8 +8,7 @@ namespace espk {
 HealthMonitor::HealthMonitor(Simulation* sim, MetricsRegistry* registry,
                              PacketTracer* tracer,
                              const HealthOptions& options)
-    : sampler_(std::make_unique<TimeSeriesSampler>(sim, registry,
-                                                   options.sampler)),
+    : sampler_(std::make_unique<TimeSeriesSampler>(sim, options.sampler)),
       engine_(std::make_unique<AlertEngine>(sim, sampler_.get(), registry)),
       recorder_(std::make_unique<FlightRecorder>(sim, sampler_.get(),
                                                  engine_.get(), tracer,
@@ -17,13 +16,14 @@ HealthMonitor::HealthMonitor(Simulation* sim, MetricsRegistry* registry,
   engine_->AttachToSampler();
 }
 
-TimeSeries* HealthMonitor::Watch(const std::string& metric_name) {
-  return sampler_->Watch(metric_name);
+TimeSeries* HealthMonitor::Watch(const std::string& series_name,
+                                 const Metric* metric) {
+  return sampler_->Watch(series_name, metric);
 }
 
-TimeSeries* HealthMonitor::WatchPercentile(const std::string& metric_name,
-                                           double q) {
-  return sampler_->WatchPercentile(metric_name, q);
+TimeSeries* HealthMonitor::WatchPercentile(const std::string& series_name,
+                                           const Metric* metric, double q) {
+  return sampler_->WatchPercentile(series_name, metric, q);
 }
 
 TimeSeries* HealthMonitor::WatchReader(const std::string& series_name,

@@ -40,8 +40,9 @@ class HealthMonitor {
   const FlightRecorder* recorder() const { return recorder_.get(); }
 
   // Forwarders so wiring code reads as one fluent block.
-  TimeSeries* Watch(const std::string& metric_name);
-  TimeSeries* WatchPercentile(const std::string& metric_name, double q);
+  TimeSeries* Watch(const std::string& series_name, const Metric* metric);
+  TimeSeries* WatchPercentile(const std::string& series_name,
+                              const Metric* metric, double q);
   TimeSeries* WatchReader(const std::string& series_name,
                           std::function<double()> read);
   void AddRule(SloRule rule);

@@ -88,26 +88,8 @@ const Metric* MetricsRegistry::Find(const std::string& name) const {
 Metric* MetricsRegistry::Adopt(std::unique_ptr<Metric> metric) {
   Metric* raw = metric.get();
   by_name_[raw->name()] = raw;
-  entries_.push_back(MetricsEntry{raw->name(), raw, /*aliased=*/false});
   owned_.push_back(std::move(metric));
   return raw;
-}
-
-bool MetricsRegistry::Alias(const std::string& name, Metric* metric) {
-  if (metric == nullptr) {
-    return false;
-  }
-  if (Metric* existing = FindMutable(name)) {
-    if (existing != metric) {
-      ESPK_LOG(kError) << "metric name " << name
-                       << " already registered; cannot alias";
-      return false;
-    }
-    return true;
-  }
-  by_name_[name] = metric;
-  entries_.push_back(MetricsEntry{name, metric, /*aliased=*/true});
-  return true;
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
@@ -165,12 +147,12 @@ std::string MetricsRegistry::TextExposition() const {
     stamp = " " + std::to_string(sim_->now() / kMillisecond);
   }
   // Index loop, not iterators: a gauge reader may re-enter the registry and
-  // register new metrics mid-dump, growing entries_.
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const Metric& m = *entries_[i].metric;
-    const std::string pname = PrometheusName(entries_[i].name);
+  // register new metrics mid-dump, growing owned_.
+  for (size_t i = 0; i < owned_.size(); ++i) {
+    const Metric& m = *owned_[i];
+    const std::string pname = PrometheusName(m.name());
     os << "# HELP " << pname << " "
-       << EscapeHelp(m.help().empty() ? entries_[i].name : m.help()) << "\n";
+       << EscapeHelp(m.help().empty() ? m.name() : m.help()) << "\n";
     os << "# TYPE " << pname << " " << KindName(m.kind()) << "\n";
     switch (m.kind()) {
       case Metric::Kind::kCounter:

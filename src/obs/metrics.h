@@ -13,8 +13,8 @@
 // owns one, so tests that build several EthernetSpeakerSystems in one
 // process keep their telemetry separate. Since the distributed telemetry
 // plane, registries are also per *station* (every speaker, every
-// rebroadcaster, the console): a station registry owns its metrics, and the
-// system-wide view re-exports them under flat legacy names via Alias().
+// rebroadcaster, the console): each metric is registered exactly once, on
+// the registry of the station that owns it, under one name.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -139,16 +139,6 @@ class HistogramMetric final : public Metric {
   std::vector<HistogramExemplar> exemplars_;
 };
 
-// One registered name in a registry: either a metric the registry owns, or
-// an alias to a metric owned by another registry (possibly under a different
-// name there). Exporters — exposition, MIB bridge, scrape snapshots — see
-// both kinds uniformly, in registration order.
-struct MetricsEntry {
-  std::string name;  // Name in THIS registry; may differ from metric->name().
-  Metric* metric = nullptr;
-  bool aliased = false;
-};
-
 class MetricsRegistry {
  public:
   // With a simulation attached, exposition lines carry sim-clock timestamps
@@ -168,24 +158,15 @@ class MetricsRegistry {
   HistogramMetric* GetHistogram(const std::string& name, double lo, double hi,
                                 int buckets, const std::string& help = "");
 
-  // Re-exports `metric` — owned by ANOTHER registry — under `name` here.
-  // The system-wide view aliases every station metric under its flat legacy
-  // name ("speaker.lateness_ms" on station es-0 -> "speaker.0.lateness_ms"),
-  // so health rules and the MIB walk keep working over per-station
-  // ownership. The owning registry must outlive reads through this one.
-  // False (with an error log) if `name` is already taken by a different
-  // metric; re-aliasing the same metric is a no-op returning true.
-  bool Alias(const std::string& name, Metric* metric);
-
   // Null if nothing by that name is registered.
   const Metric* Find(const std::string& name) const;
 
   // Registration order — the order exporters emit and the MIB arcs follow.
-  // Includes aliases.
-  const std::vector<MetricsEntry>& entries() const { return entries_; }
-  size_t size() const { return entries_.size(); }
+  const std::vector<std::unique_ptr<Metric>>& entries() const {
+    return owned_;
+  }
+  size_t size() const { return owned_.size(); }
 
-  // Resets owned metrics only; aliases are views whose owner resets them.
   void ResetAll();
 
   // Prometheus-style text exposition: "# HELP"/"# TYPE" comments, metric
@@ -201,7 +182,6 @@ class MetricsRegistry {
   Metric* Adopt(std::unique_ptr<Metric> metric);
 
   Simulation* sim_;
-  std::vector<MetricsEntry> entries_;
   std::vector<std::unique_ptr<Metric>> owned_;
   std::map<std::string, Metric*> by_name_;
 };

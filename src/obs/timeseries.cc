@@ -93,9 +93,8 @@ std::vector<SeriesPoint> TimeSeries::Tail(size_t count) const {
 // ------------------------------------------------------ TimeSeriesSampler --
 
 TimeSeriesSampler::TimeSeriesSampler(Simulation* sim,
-                                     MetricsRegistry* registry,
                                      const SamplerOptions& options)
-    : sim_(sim), registry_(registry), options_(options) {}
+    : sim_(sim), options_(options) {}
 
 TimeSeries* TimeSeriesSampler::AddSeries(const std::string& name,
                                          std::function<double()> read) {
@@ -111,42 +110,42 @@ TimeSeries* TimeSeriesSampler::AddSeries(const std::string& name,
   return series;
 }
 
-TimeSeries* TimeSeriesSampler::Watch(const std::string& metric_name) {
-  const Metric* metric = registry_->Find(metric_name);
+TimeSeries* TimeSeriesSampler::Watch(const std::string& series_name,
+                                     const Metric* metric) {
   if (metric == nullptr) {
-    ESPK_LOG(kError) << "sampler: no metric named " << metric_name;
+    ESPK_LOG(kError) << "sampler: no metric for series " << series_name;
     return nullptr;
   }
   switch (metric->kind()) {
     case Metric::Kind::kCounter: {
       const auto* counter = static_cast<const Counter*>(metric);
-      return AddSeries(metric_name, [counter] {
+      return AddSeries(series_name, [counter] {
         return static_cast<double>(counter->value());
       });
     }
     case Metric::Kind::kGauge: {
       const auto* gauge = static_cast<const Gauge*>(metric);
-      return AddSeries(metric_name, [gauge] { return gauge->Value(); });
+      return AddSeries(series_name, [gauge] { return gauge->Value(); });
     }
     case Metric::Kind::kHistogram:
-      ESPK_LOG(kError) << "sampler: " << metric_name
+      ESPK_LOG(kError) << "sampler: " << metric->name()
                        << " is a histogram; use WatchPercentile";
       return nullptr;
   }
   return nullptr;
 }
 
-TimeSeries* TimeSeriesSampler::WatchPercentile(const std::string& metric_name,
+TimeSeries* TimeSeriesSampler::WatchPercentile(const std::string& series_name,
+                                               const Metric* metric,
                                                double q) {
-  const Metric* metric = registry_->Find(metric_name);
   if (metric == nullptr || metric->kind() != Metric::Kind::kHistogram) {
-    ESPK_LOG(kError) << "sampler: no histogram named " << metric_name;
+    ESPK_LOG(kError) << "sampler: no histogram for series " << series_name;
     return nullptr;
   }
   const auto* histogram = static_cast<const HistogramMetric*>(metric);
   char suffix[16];
   std::snprintf(suffix, sizeof(suffix), ".p%g", q * 100.0);
-  return AddSeries(metric_name + suffix, [histogram, q] {
+  return AddSeries(series_name + suffix, [histogram, q] {
     return histogram->histogram().count() > 0
                ? histogram->histogram().Percentile(q)
                : 0.0;

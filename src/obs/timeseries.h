@@ -80,20 +80,23 @@ struct SamplerOptions {
 // (the SLO alert engine evaluates there).
 class TimeSeriesSampler {
  public:
-  TimeSeriesSampler(Simulation* sim, MetricsRegistry* registry,
-                    const SamplerOptions& options = {});
+  explicit TimeSeriesSampler(Simulation* sim,
+                             const SamplerOptions& options = {});
 
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
 
-  // Samples a counter's value or a gauge's reader under the metric's own
-  // name. Null (with an error log) if no such metric is registered.
-  TimeSeries* Watch(const std::string& metric_name);
+  // Samples a counter's value or a gauge's reader as series `series_name`.
+  // The metric may live in any registry — the system's or a station's — and
+  // must outlive the sampler. Null (with an error log) if `metric` is null
+  // or a histogram.
+  TimeSeries* Watch(const std::string& series_name, const Metric* metric);
 
-  // Samples a histogram percentile as series "<name>.p<q*100>", e.g.
-  // "speaker.0.lateness_ms.p99". Null if the metric is missing or not a
+  // Samples a histogram percentile as series "<series_name>.p<q*100>", e.g.
+  // "speaker.0.lateness_ms.p99". Null if `metric` is null or not a
   // histogram.
-  TimeSeries* WatchPercentile(const std::string& metric_name, double q);
+  TimeSeries* WatchPercentile(const std::string& series_name,
+                              const Metric* metric, double q);
 
   // Samples an arbitrary reader under `series_name` — for signals that live
   // outside any metrics registry, like the sharded runtime's ring-spill and
@@ -144,7 +147,6 @@ class TimeSeriesSampler {
   TimeSeries* AddSeries(const std::string& name, std::function<double()> read);
 
   Simulation* sim_;
-  MetricsRegistry* registry_;
   SamplerOptions options_;
   std::vector<std::unique_ptr<TimeSeries>> series_;
   std::map<std::string, TimeSeries*> by_name_;

@@ -66,7 +66,14 @@ void StreamRecorder::OnDatagram(const Datagram& datagram) {
   if (data == nullptr || decoder_ == nullptr) {
     return;
   }
-  if (chunks_.count(data->seq) > 0) {
+  // The key keeps seq's low 32 bits, so the previous seq is recoverable
+  // from last_key_; the signed distance to it is correct across the wrap.
+  const int64_t key =
+      chunks_.empty()
+          ? data->seq
+          : last_key_ + static_cast<int32_t>(
+                            data->seq - static_cast<uint32_t>(last_key_));
+  if (chunks_.count(key) > 0) {
     ++stats_.duplicate_chunks;
     return;
   }
@@ -76,7 +83,8 @@ void StreamRecorder::OnDatagram(const Datagram& datagram) {
     return;
   }
   ++stats_.chunks_recorded;
-  chunks_[data->seq] = Chunk{std::move(*samples), data->frame_count};
+  chunks_[key] = Chunk{std::move(*samples), data->frame_count};
+  last_key_ = key;
 }
 
 PcmBuffer StreamRecorder::Assemble() const {
@@ -86,16 +94,17 @@ PcmBuffer StreamRecorder::Assemble() const {
   }
   out.channels = config_->channels;
   out.sample_rate = config_->sample_rate;
-  uint32_t expected_seq = chunks_.begin()->first;
+  int64_t expected_key = chunks_.begin()->first;
   // Sized from decoded audio, not the header's frame_count, so a forged
   // header cannot inflate the fill either.
   const size_t typical_samples = chunks_.begin()->second.samples.size();
   auto* mutable_stats = const_cast<RecorderStats*>(&stats_);
   mutable_stats->gaps_filled = 0;
   mutable_stats->frames_recorded = 0;
-  for (const auto& [seq, chunk] : chunks_) {
+  for (const auto& [key, chunk] : chunks_) {
     // Fill lost packets with silence so later audio keeps its place.
-    const uint32_t missing = std::min(seq - expected_seq, kMaxGapFillPackets);
+    const auto missing = static_cast<uint32_t>(
+        std::min<int64_t>(key - expected_key, kMaxGapFillPackets));
     out.samples.insert(out.samples.end(), missing * typical_samples, 0.0f);
     mutable_stats->frames_recorded += static_cast<int64_t>(
         missing * typical_samples / static_cast<size_t>(out.channels));
@@ -103,7 +112,7 @@ PcmBuffer StreamRecorder::Assemble() const {
     out.samples.insert(out.samples.end(), chunk.samples.begin(),
                        chunk.samples.end());
     mutable_stats->frames_recorded += chunk.frame_count;
-    expected_seq = seq + 1;
+    expected_key = key + 1;
   }
   return out;
 }

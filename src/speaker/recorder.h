@@ -60,12 +60,15 @@ class StreamRecorder {
   std::optional<GroupId> group_;
   std::optional<AudioConfig> config_;
   std::unique_ptr<AudioDecoder> decoder_;
-  // Decoded chunks by sequence number; frame counts tracked for gap fill.
+  // Decoded chunks by unwrapped sequence number (each seq extended against
+  // the previous chunk's with RFC 1982 serial arithmetic, so a take that
+  // crosses 2^32 stays in order); frame counts tracked for gap fill.
   struct Chunk {
     std::vector<float> samples;
     uint32_t frame_count;
   };
-  std::map<uint32_t, Chunk> chunks_;
+  std::map<int64_t, Chunk> chunks_;
+  int64_t last_key_ = 0;  // Key of the latest chunk; valid when non-empty.
   RecorderStats stats_;
 };
 

@@ -157,5 +157,24 @@ TEST(SystemTest, ChannelsGetDistinctGroupsAndDevices) {
   EXPECT_NE(a->stream_id, b->stream_id);
 }
 
+TEST(SystemTest, StationMetricsAreRegisteredOnlyOnTheirStation) {
+  // Channel and speaker metrics live on "rb-<sid>" / "es-<i>" alone; the
+  // system registry keeps system-wide metrics and does not grow with them.
+  EthernetSpeakerSystem system;
+  const size_t system_metrics = system.metrics()->size();
+  Channel* channel = *system.CreateChannel("music");
+  EXPECT_EQ(system.metrics()->size(), system_metrics);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(system.AddSpeaker(SpeakerOptions{}, channel->group).ok());
+  }
+  EXPECT_EQ(system.metrics()->size(), system_metrics);
+  EXPECT_NE(system.FindStation("rb-1")->registry->Find(
+                "rebroadcast.data_packets"),
+            nullptr);
+  EXPECT_NE(system.FindStation("es-49")->registry->Find("speaker.late_drops"),
+            nullptr);
+  EXPECT_EQ(system.metrics()->Find("speaker.49.late_drops"), nullptr);
+}
+
 }  // namespace
 }  // namespace espk

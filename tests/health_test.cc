@@ -7,7 +7,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/json_lite.h"
@@ -121,10 +120,10 @@ TEST(SamplerTest, SamplesCountersGaugesAndPercentilesOnSimClock) {
 
   SamplerOptions options;
   options.period = Milliseconds(100);
-  TimeSeriesSampler sampler(&sim, &registry, options);
-  TimeSeries* c_series = sampler.Watch("c");
-  TimeSeries* g_series = sampler.Watch("g");
-  TimeSeries* p_series = sampler.WatchPercentile("h", 0.99);
+  TimeSeriesSampler sampler(&sim, options);
+  TimeSeries* c_series = sampler.Watch("c", counter);
+  TimeSeries* g_series = sampler.Watch("g", registry.Find("g"));
+  TimeSeries* p_series = sampler.WatchPercentile("h", histogram, 0.99);
   ASSERT_NE(c_series, nullptr);
   ASSERT_NE(g_series, nullptr);
   ASSERT_NE(p_series, nullptr);
@@ -132,8 +131,8 @@ TEST(SamplerTest, SamplesCountersGaugesAndPercentilesOnSimClock) {
   // Histograms need WatchPercentile; plain Watch refuses them.
   {
     ScopedLogCapture capture;
-    EXPECT_EQ(sampler.Watch("h"), nullptr);
-    EXPECT_EQ(sampler.Watch("missing"), nullptr);
+    EXPECT_EQ(sampler.Watch("h", histogram), nullptr);
+    EXPECT_EQ(sampler.Watch("missing", registry.Find("missing")), nullptr);
   }
 
   // Drive the system: counter +1 per 50 ms, gauge follows sim seconds.
@@ -165,9 +164,9 @@ TEST(SamplerTest, SamplesCountersGaugesAndPercentilesOnSimClock) {
 // Drives the engine directly against a hand-fed series.
 class AlertEngineTest : public ::testing::Test {
  protected:
-  AlertEngineTest() : registry_(&sim_), sampler_(&sim_, &registry_) {
+  AlertEngineTest() : registry_(&sim_), sampler_(&sim_) {
     signal_ = registry_.GetCounter("sig");
-    series_ = sampler_.Watch("sig");
+    series_ = sampler_.Watch("sig", signal_);
   }
 
   Simulation sim_;
@@ -304,8 +303,8 @@ TEST(FlightRecorderTest, FiringTransitionProducesValidPostmortem) {
   MetricsRegistry registry(&sim);
   Counter* signal = registry.GetCounter("sig", "test signal");
   PacketTracer tracer(&sim);
-  TimeSeriesSampler sampler(&sim, &registry);
-  sampler.Watch("sig");
+  TimeSeriesSampler sampler(&sim);
+  sampler.Watch("sig", signal);
   AlertEngine engine(&sim, &sampler, &registry);
   engine.AddRule({.name = "high",
                   .series = "sig",
@@ -365,8 +364,8 @@ TEST(FlightRecorderTest, PostmortemRingIsBounded) {
   Simulation sim;
   MetricsRegistry registry(&sim);
   Counter* signal = registry.GetCounter("sig");
-  TimeSeriesSampler sampler(&sim, &registry);
-  sampler.Watch("sig");
+  TimeSeriesSampler sampler(&sim);
+  sampler.Watch("sig", signal);
   AlertEngine engine(&sim, &sampler);
   engine.AddRule({.name = "flappy", .series = "sig", .threshold = 10.0});
   FlightRecorderOptions options;
@@ -464,29 +463,6 @@ struct SqueezeRunResult {
   bool postmortems_valid = false;
   bool chrome_trace_valid = false;
 };
-
-// Postmortems embed the full Prometheus exposition, which includes real
-// host-CPU codec timings (encode_cpu_seconds and friends) — the one
-// legitimately nondeterministic signal in the system. Everything on the sim
-// clock must still be bit-identical, so the determinism comparison drops
-// only the exposition line.
-std::string StripExposition(const std::string& postmortems) {
-  std::string out;
-  size_t start = 0;
-  while (start < postmortems.size()) {
-    size_t end = postmortems.find('\n', start);
-    if (end == std::string::npos) {
-      end = postmortems.size();
-    }
-    std::string_view line(postmortems.data() + start, end - start);
-    if (line.find("\"exposition\":") == std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    start = end + 1;
-  }
-  return out;
-}
 
 // A raw CD-quality stream through a healthy 100 Mbps segment; at t=6s the
 // segment is squeezed to 1 Mbps (less than the stream needs), backing up
@@ -624,7 +600,7 @@ TEST(HealthEndToEndTest, FaultScenarioIsBitIdenticalAcrossRuns) {
   SqueezeRunResult a = RunBandwidthSqueezeScenario();
   SqueezeRunResult b = RunBandwidthSqueezeScenario();
   EXPECT_EQ(a.trap_log, b.trap_log);
-  EXPECT_EQ(StripExposition(a.postmortems), StripExposition(b.postmortems));
+  EXPECT_EQ(a.postmortems, b.postmortems);
   EXPECT_EQ(a.chrome_trace, b.chrome_trace);
 }
 

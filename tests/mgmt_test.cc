@@ -382,25 +382,35 @@ TEST(MetricsMibTest, ExportRegistersPerKindArcs) {
 
 TEST_F(MgmtFixture, MibWalkEnumeratesLiveSystemMetrics) {
   system_.sim()->RunUntil(Seconds(3));
-  Mib mib;
-  ASSERT_GT(ExportMetricsToMib(system_.metrics(), &mib), 0u);
-  // Walk the whole tree via GetNext, as an NMS console would.
-  std::map<std::string, double> walked;
-  Oid cursor;
-  for (;;) {
-    Result<Oid> next = mib.GetNext(cursor);
-    if (!next.ok()) {
-      break;
+  // One MIB per station (§5.3): the system's own, the channel's, and the
+  // speaker's. Walk each whole tree via GetNext, as an NMS console would.
+  auto walk = [](const MetricsRegistry* registry) {
+    Mib mib;
+    EXPECT_GT(ExportMetricsToMib(registry, &mib), 0u);
+    std::map<std::string, double> walked;
+    Oid cursor;
+    for (;;) {
+      Result<Oid> next = mib.GetNext(cursor);
+      if (!next.ok()) {
+        break;
+      }
+      cursor = *next;
+      const std::string* description = mib.Describe(cursor);
+      Result<std::string> value = mib.Get(cursor);
+      EXPECT_NE(description, nullptr);
+      EXPECT_TRUE(value.ok()) << OidToString(cursor);
+      if (description != nullptr && value.ok()) {
+        walked[*description] = std::stod(*value);
+      }
     }
-    cursor = *next;
-    const std::string* description = mib.Describe(cursor);
-    ASSERT_NE(description, nullptr);
-    Result<std::string> value = mib.Get(cursor);
-    ASSERT_TRUE(value.ok()) << OidToString(cursor);
-    walked[*description] = std::stod(*value);
-  }
-  EXPECT_EQ(walked.size(), mib.size());
-  auto live = [&](const std::string& needle) -> double {
+    EXPECT_EQ(walked.size(), mib.size());
+    return walked;
+  };
+  const auto system_mib = walk(system_.metrics());
+  const auto rb_mib = walk(system_.FindStation("rb-1")->registry.get());
+  const auto es_mib = walk(system_.FindStation("es-0")->registry.get());
+  auto live = [](const std::map<std::string, double>& walked,
+                 const std::string& needle) -> double {
     for (const auto& [description, value] : walked) {
       if (description.find(needle) != std::string::npos) {
         return value;
@@ -410,12 +420,12 @@ TEST_F(MgmtFixture, MibWalkEnumeratesLiveSystemMetrics) {
     return 0.0;
   };
   // Every layer shows live (non-zero) telemetry after 3 simulated seconds.
-  EXPECT_GT(live("kernel.syscalls"), 0.0);
-  EXPECT_GT(live("kernel.context_switches"), 0.0);
-  EXPECT_GT(live("lan.packets_sent"), 0.0);
-  EXPECT_GT(live("rebroadcast.1.data_packets"), 0.0);
-  EXPECT_GT(live("speaker.0.chunks_played"), 0.0);
-  EXPECT_GT(live("speaker.0.lateness_ms count"), 0.0);
+  EXPECT_GT(live(system_mib, "kernel.syscalls"), 0.0);
+  EXPECT_GT(live(system_mib, "kernel.context_switches"), 0.0);
+  EXPECT_GT(live(system_mib, "lan.packets_sent"), 0.0);
+  EXPECT_GT(live(rb_mib, "rebroadcast.data_packets"), 0.0);
+  EXPECT_GT(live(es_mib, "speaker.chunks_played"), 0.0);
+  EXPECT_GT(live(es_mib, "speaker.lateness_ms count"), 0.0);
 }
 
 TEST(MgmtRequestTest, SerializationRoundTrip) {
@@ -523,8 +533,8 @@ TEST(MetricsMibTest, ExportAlertsPublishesPerRuleRows) {
   Simulation sim;
   MetricsRegistry registry(&sim);
   Counter* signal = registry.GetCounter("sig");
-  TimeSeriesSampler sampler(&sim, &registry);
-  sampler.Watch("sig");
+  TimeSeriesSampler sampler(&sim);
+  sampler.Watch("sig", signal);
   AlertEngine engine(&sim, &sampler);
   engine.AddRule({.name = "high", .series = "sig", .threshold = 10.0});
   engine.AddRule({.name = "low",

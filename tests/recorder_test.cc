@@ -118,42 +118,68 @@ TEST(RecorderTest, ExportWavRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A recorder fed hand-built packets: one control packet, then one
+// kFrames-frame raw data packet per seq, in the given order.
+struct HandFedRecorder {
+  static constexpr int64_t kFrames = 80;
+
+  explicit HandFedRecorder(std::initializer_list<uint32_t> seqs)
+      : segment(&sim, SegmentConfig{}),
+        producer(segment.CreateNic()),
+        nic(segment.CreateNic()),
+        recorder(&sim, nic.get()) {
+    EXPECT_TRUE(recorder.StartRecording(kFirstChannelGroup).ok());
+    const AudioConfig config{8000, 1, AudioEncoding::kLinearS16};
+    ControlPacket control;
+    control.stream_id = 1;
+    control.control_seq = 1;
+    control.config = config;
+    control.codec = CodecId::kRaw;
+    EXPECT_TRUE(
+        producer->SendMulticast(kFirstChannelGroup, SerializePacket(control))
+            .ok());
+    for (uint32_t seq : seqs) {
+      DataPacket data;
+      data.stream_id = 1;
+      data.seq = seq;
+      data.frame_count = kFrames;
+      data.payload = SineGenerator(440.0).GenerateBytes(kFrames, config);
+      EXPECT_TRUE(
+          producer->SendMulticast(kFirstChannelGroup, SerializePacket(data))
+              .ok());
+    }
+    sim.Run();
+  }
+
+  Simulation sim;
+  EthernetSegment segment;
+  std::unique_ptr<SimNic> producer;
+  std::unique_ptr<SimNic> nic;
+  StreamRecorder recorder;
+};
+
 TEST(RecorderTest, FarAheadSeqPadsABoundedGap) {
   // One CRC-valid packet 2^31 seqs ahead must not make Assemble() pad 2^31
   // packets of silence: the fill per gap is capped at 1000 packets.
-  Simulation sim;
-  EthernetSegment segment(&sim, SegmentConfig{});
-  auto producer = segment.CreateNic();
-  auto nic = segment.CreateNic();
-  StreamRecorder recorder(&sim, nic.get());
-  ASSERT_TRUE(recorder.StartRecording(kFirstChannelGroup).ok());
-  const AudioConfig config{8000, 1, AudioEncoding::kLinearS16};
-  ControlPacket control;
-  control.stream_id = 1;
-  control.control_seq = 1;
-  control.config = config;
-  control.codec = CodecId::kRaw;
-  ASSERT_TRUE(
-      producer->SendMulticast(kFirstChannelGroup, SerializePacket(control))
-          .ok());
-  constexpr int64_t kFrames = 80;
-  for (uint32_t seq : {0u, 1u << 31}) {
-    DataPacket data;
-    data.stream_id = 1;
-    data.seq = seq;
-    data.frame_count = kFrames;
-    data.payload = SineGenerator(440.0).GenerateBytes(kFrames, config);
-    ASSERT_TRUE(
-        producer->SendMulticast(kFirstChannelGroup, SerializePacket(data))
-            .ok());
-  }
-  sim.Run();
-  ASSERT_EQ(recorder.stats().chunks_recorded, 2u);
+  HandFedRecorder rig({0u, 1u << 31});
+  ASSERT_EQ(rig.recorder.stats().chunks_recorded, 2u);
 
-  PcmBuffer take = recorder.Assemble();
-  EXPECT_EQ(recorder.stats().gaps_filled, 1000u);
-  EXPECT_EQ(take.frames(), (2 + 1000) * kFrames);
-  EXPECT_EQ(take.frames(), recorder.stats().frames_recorded);
+  PcmBuffer take = rig.recorder.Assemble();
+  EXPECT_EQ(rig.recorder.stats().gaps_filled, 1000u);
+  EXPECT_EQ(take.frames(), (2 + 1000) * HandFedRecorder::kFrames);
+  EXPECT_EQ(take.frames(), rig.recorder.stats().frames_recorded);
+}
+
+TEST(RecorderTest, TakeAcrossSeqWrapStaysInOrder) {
+  // Four contiguous seqs straddling 2^32 are four packets of audio, not a
+  // post-wrap pair sorted first and a bounded gap before the pre-wrap pair.
+  HandFedRecorder rig({0xFFFFFFFEu, 0xFFFFFFFFu, 0u, 1u});
+  ASSERT_EQ(rig.recorder.stats().chunks_recorded, 4u);
+
+  PcmBuffer take = rig.recorder.Assemble();
+  EXPECT_EQ(rig.recorder.stats().gaps_filled, 0u);
+  EXPECT_EQ(take.frames(), 4 * HandFedRecorder::kFrames);
+  EXPECT_EQ(take.frames(), rig.recorder.stats().frames_recorded);
 }
 
 TEST(RecorderTest, ExportBeforeAnythingCapturedFails) {

@@ -272,36 +272,6 @@ struct ObsResult {
       mirror;
 };
 
-// Postmortems embed the full metrics exposition, which includes HOST-CPU
-// measurements (the codec's encode cost) — those can never be bit-identical,
-// not even between two classic runs. Scrub their lines (the exposition is
-// one JSON string, lines separated by the two-character escape `\n`) and
-// compare everything else exactly.
-std::string ScrubHostMetrics(const std::string& json) {
-  std::string out;
-  size_t pos = 0;
-  bool first = true;
-  while (true) {
-    const size_t next = json.find("\\n", pos);
-    const std::string line =
-        json.substr(pos, next == std::string::npos ? std::string::npos
-                                                   : next - pos);
-    if (line.find("encode_ms") == std::string::npos &&
-        line.find("encode_cpu_seconds") == std::string::npos) {
-      if (!first) {
-        out += "\\n";
-      }
-      first = false;
-      out += line;
-    }
-    if (next == std::string::npos) {
-      break;
-    }
-    pos = next + 2;
-  }
-  return out;
-}
-
 ObsResult RunObsFleet(int zones, int threads, SimDuration jitter = 0,
                       double loss = 0.0) {
   SystemOptions options;
@@ -374,7 +344,7 @@ ObsResult RunObsFleet(int zones, int threads, SimDuration jitter = 0,
   }
   result.status = health->StatusText();
   for (const Postmortem& p : health->recorder()->postmortems()) {
-    result.postmortems.push_back({p.rule, ScrubHostMetrics(p.json)});
+    result.postmortems.push_back({p.rule, p.json});
   }
   result.ticks = health->sampler()->ticks();
   for (const TraceEvent& e : system.tracer()->events()) {

@@ -478,10 +478,10 @@ SpanRunResult RunSqueezeScenario() {
           .Render();
   result.perfetto = PerfettoSpanJson(*assembler);
 
-  result.exposition_has_exemplar =
-      system.metrics()->TextExposition().find(" # {trace_id=") !=
-      std::string::npos;
   if (Station* es0 = system.FindStation("es-0")) {
+    result.exposition_has_exemplar =
+        es0->registry->TextExposition().find(" # {trace_id=") !=
+        std::string::npos;
     if (const Metric* m = es0->registry->Find("spans.recorded")) {
       result.es0_spans_recorded = static_cast<const Gauge*>(m)->Value();
     }
@@ -524,7 +524,7 @@ TEST(SpanEndToEndTest, SqueezeExemplarsResolveToRetainedTxQueueTrees) {
   // Rendering the same assembler state twice is byte-identical.
   EXPECT_EQ(run.report, run.report_again);
 
-  // Exemplars surface in the OpenMetrics exposition, and the Perfetto
+  // Exemplars surface in es-0's OpenMetrics exposition, and the Perfetto
   // export carries real duration slices plus send->receive flow events.
   EXPECT_TRUE(run.exposition_has_exemplar);
   EXPECT_NE(run.perfetto.find("\"ph\": \"X\""), std::string::npos);
