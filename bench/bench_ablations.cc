@@ -102,7 +102,7 @@ double WorstSkewMs(double alpha, int probes) {
                             opts);
   double worst = 0.0;
   for (int probe = 0; probe < probes; ++probe) {
-    system.sim()->RunFor(Seconds(2));
+    system.RunFor(Seconds(2));
     auto report = system.MeasureSync(system.sim()->now() - Seconds(1),
                                      Milliseconds(600), Milliseconds(30));
     worst = std::max(worst, report.max_skew_seconds);

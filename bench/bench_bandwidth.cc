@@ -43,7 +43,7 @@ LoadResult Run(int streams, bool compress, double bandwidth_bps,
     so.decode_speed_factor = 0.05;
     speakers.push_back(*system.AddSpeaker(so, channel->group));
   }
-  system.sim()->RunUntil(Seconds(seconds));
+  system.RunUntil(Seconds(seconds));
   LoadResult result;
   const SegmentStats& stats = system.lan()->stats();
   result.wire_mbps = static_cast<double>(stats.bytes_on_wire) * 8.0 /

@@ -37,7 +37,7 @@ PipelineResult Run(int64_t packet_frames, double decode_factor,
   opts.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(6),
                             opts);
-  system.sim()->RunUntil(Seconds(seconds));
+  system.RunUntil(Seconds(seconds));
   PipelineResult result;
   result.late_drops = speaker->stats().late_drops;
   result.chunks_played = speaker->stats().chunks_played;

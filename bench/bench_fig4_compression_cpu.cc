@@ -93,7 +93,7 @@ SeriesResult RunStreams(int streams, int seconds) {
   SeriesResult result;
   double last_cpu = ProcessCpuSeconds();
   for (int s = 0; s < seconds; ++s) {
-    system.sim()->RunFor(Seconds(1));
+    system.RunFor(Seconds(1));
     double now_cpu = ProcessCpuSeconds();
     result.cpu_percent.push_back((now_cpu - last_cpu) * 100.0);
     last_cpu = now_cpu;

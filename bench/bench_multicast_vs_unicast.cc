@@ -30,7 +30,7 @@ double MulticastLanMbps(int listeners, int seconds) {
     so.decode_speed_factor = 0.05;
     (void)*system.AddSpeaker(so, channel->group);
   }
-  system.sim()->RunUntil(Seconds(seconds));
+  system.RunUntil(Seconds(seconds));
   return static_cast<double>(system.lan()->stats().bytes_on_wire) * 8.0 /
          seconds / 1e6;
 }
@@ -109,7 +109,7 @@ WanResult ProxiedWan(int listeners, int seconds) {
     so.decode_speed_factor = 0.05;
     (void)*system.AddSpeaker(so, channel->group);
   }
-  system.sim()->RunUntil(Seconds(seconds));
+  system.RunUntil(Seconds(seconds));
   WanResult result;
   result.wan_mbps =
       static_cast<double>(wan.stats().bytes_on_wire) * 8.0 / seconds / 1e6;

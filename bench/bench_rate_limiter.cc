@@ -36,7 +36,7 @@ SongResult Run(bool limiter_enabled, int song_seconds) {
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(3),
                             opts);
 
-  system.sim()->RunUntil(Seconds(song_seconds + 10));
+  system.RunUntil(Seconds(song_seconds + 10));
   const RebroadcasterStats& pstats = channel->rebroadcaster->stats();
 
   SongResult result;

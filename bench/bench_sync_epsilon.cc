@@ -43,7 +43,7 @@ EpsilonResult RunEpsilon(SimDuration epsilon, SimDuration jitter,
   opts.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(4),
                             opts);
-  system.sim()->RunUntil(Seconds(seconds));
+  system.RunUntil(Seconds(seconds));
   EpsilonResult result;
   result.late_drops = speaker->stats().late_drops;
   result.chunks_played = speaker->stats().chunks_played;
@@ -76,13 +76,13 @@ SkewResult RunSpeakerCount(int speakers, int seconds) {
   // Staggered joins: one speaker every 500 ms — the mid-stream start that
   // broke "earlier versions of the system" (§3.2).
   for (int i = 0; i < speakers; ++i) {
-    system.sim()->RunFor(Milliseconds(500));
+    system.RunFor(Milliseconds(500));
     SpeakerOptions so;
     so.name = "es" + std::to_string(i);
     so.decode_speed_factor = 0.1;
     (void)*system.AddSpeaker(so, channel->group);
   }
-  system.sim()->RunUntil(Seconds(seconds));
+  system.RunUntil(Seconds(seconds));
   auto report = system.MeasureSync(Seconds(seconds - 2), Milliseconds(500),
                                    Milliseconds(20), /*all_pairs=*/false);
   SkewResult result;

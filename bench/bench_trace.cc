@@ -54,10 +54,8 @@ struct TraceMeasurement {
 TraceMeasurement MeasureMode(SpanMode mode, int sim_seconds, int zones = 1) {
   using Clock = std::chrono::steady_clock;
   SystemOptions sys_options;
-  if (zones > 1) {
-    sys_options.sharded.zones = zones;
-    sys_options.sharded.threads = zones;
-  }
+  sys_options.sharded.zones = zones;
+  sys_options.sharded.threads = zones;
   EthernetSpeakerSystem system(sys_options);
   RebroadcasterOptions rb;
   rb.codec_override = CodecId::kRaw;
@@ -91,13 +89,7 @@ TraceMeasurement MeasureMode(SpanMode mode, int sim_seconds, int zones = 1) {
   }
 
   const auto t0 = Clock::now();
-  // The sharded runtime advances through the group's epoch loop; classic
-  // keeps driving the Simulation directly as the pre-sharding bench did.
-  if (zones > 1) {
-    system.RunUntil(Seconds(sim_seconds));
-  } else {
-    system.sim()->RunUntil(Seconds(sim_seconds));
-  }
+  system.RunUntil(Seconds(sim_seconds));
   if (spans != nullptr) {
     spans->Drain();
   }

@@ -84,7 +84,7 @@ int main() {
   MgmtConsole console(system.sim(), console_nic.get());
 
   // Phase 1: music everywhere, auto-volume settles per zone.
-  system.sim()->RunUntil(Seconds(18));
+  system.RunUntil(Seconds(18));
   std::printf("t=18s: background music, auto-volume settled per zone\n");
   for (size_t z = 0, s = 0; z < 4; ++z) {
     std::printf("  %-10s gains:", zones[z].name);
@@ -97,7 +97,7 @@ int main() {
 
   // Phase 2: live announcement overrides every speaker (§5.3).
   std::printf("\nt=20s: front desk announcement — console overrides all\n");
-  system.sim()->RunUntil(Seconds(20));
+  system.RunUntil(Seconds(20));
   PlayerAppOptions pa_opts;
   pa_opts.config = AudioConfig::PhoneQuality();
   pa_opts.chunk_frames = 800;
@@ -108,7 +108,7 @@ int main() {
   for (auto& controller : volume_controllers) {
     controller->set_mode(VolumeMode::kAnnouncement);
   }
-  system.sim()->RunUntil(Seconds(24));
+  system.RunUntil(Seconds(24));
   int on_pa = 0;
   for (EthernetSpeaker* speaker : speakers) {
     on_pa += speaker->tuned_group().value_or(0) == pa->group ? 1 : 0;
@@ -116,12 +116,12 @@ int main() {
   std::printf("  %d/12 speakers on the announcement channel\n", on_pa);
 
   // Phase 3: announcement over, restore the music.
-  system.sim()->RunUntil(Seconds(30));
+  system.RunUntil(Seconds(30));
   console.RestoreAll();
   for (auto& controller : volume_controllers) {
     controller->set_mode(VolumeMode::kBackgroundMusic);
   }
-  system.sim()->RunUntil(Seconds(40));
+  system.RunUntil(Seconds(40));
   int back_on_music = 0;
   for (EthernetSpeaker* speaker : speakers) {
     back_on_music +=

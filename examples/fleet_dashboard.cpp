@@ -88,7 +88,7 @@ int main() {
   for (SimTime at : {Seconds(5), Seconds(13), Seconds(23)}) {
     system.sim()->ScheduleAt(at, [&plane, at] { PrintDashboard(&plane, at); });
   }
-  system.sim()->RunUntil(Seconds(24));
+  system.RunUntil(Seconds(24));
 
   const FleetCollector& collector = *plane.collector();
   std::printf("collector self-telemetry over 24 s:\n");

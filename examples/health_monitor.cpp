@@ -19,8 +19,8 @@
 
 #include "src/core/system.h"
 #include "src/mgmt/agent.h"
-#include "src/obs/chrome_trace.h"
 #include "src/obs/health.h"
+#include "src/obs/spans/perfetto.h"
 
 using namespace espk;
 
@@ -80,7 +80,7 @@ int main() {
   });
 
   std::printf("\nrunning 24 simulated seconds...\n");
-  system.sim()->RunUntil(Seconds(24));
+  system.RunUntil(Seconds(24));
 
   std::printf("\nalert engine after the incident:\n%s",
               health->StatusText().c_str());

@@ -92,7 +92,7 @@ int main() {
   StreamRecorder recorder(system.sim(), recorder_nic.get());
   (void)recorder.StartRecording(internet->group);
 
-  system.sim()->RunUntil(Seconds(3));
+  system.RunUntil(Seconds(3));
   auto channels = browser.Channels();
   std::printf("program guide after 3 s (%zu channels):\n", channels.size());
   for (const AnnounceEntry& entry : channels) {
@@ -111,7 +111,7 @@ int main() {
   std::printf("\ntuned '%s' (group %u) from the guide\n", pick->name.c_str(),
               pick->group);
 
-  system.sim()->RunUntil(Seconds(13));
+  system.RunUntil(Seconds(13));
   std::printf("after 10 s listening: %llu chunks played, %llu late drops, "
               "WAN load %.2f Mbps for the whole LAN\n",
               static_cast<unsigned long long>(speaker->stats().chunks_played),
@@ -122,7 +122,7 @@ int main() {
   // Switch to the local channel via the guide, listen some more.
   Result<AnnounceEntry> jazz = browser.Find("campus-jazz");
   (void)speaker->Tune(jazz->group);
-  system.sim()->RunUntil(Seconds(20));
+  system.RunUntil(Seconds(20));
   std::printf("switched to '%s'; total chunks played %llu\n",
               jazz->name.c_str(),
               static_cast<unsigned long long>(speaker->stats().chunks_played));

@@ -70,7 +70,7 @@ int main() {
     std::printf("[18.000s] FAULT CLEARED: segment back to 100 Mbps\n\n");
     system.lan()->set_bandwidth_bps(100e6);
   });
-  system.sim()->RunUntil(Seconds(26));
+  system.RunUntil(Seconds(26));
   spans->Drain();
 
   const SpanAssembler* assembler = spans->assembler();

@@ -101,7 +101,7 @@ int main() {
     fleet.push_back(std::move(bs));
   }
 
-  system.sim()->RunUntil(Seconds(20));
+  system.RunUntil(Seconds(20));
 
   int booted = 0;
   int playing = 0;

@@ -43,11 +43,11 @@ int main() {
 
   // 4. Run five seconds, then a third speaker joins mid-stream — no
   // producer involvement, it just waits for the next control packet.
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   speaker_options.name = "es-cafeteria";
   EthernetSpeaker* cafeteria =
       *system.AddSpeaker(speaker_options, channel->group);
-  system.sim()->RunUntil(Seconds(12));
+  system.RunUntil(Seconds(12));
 
   // 5. Report.
   std::printf("\nafter 12 simulated seconds:\n");

@@ -53,7 +53,7 @@ int main() {
   naive_options.decode_speed_factor = 0.1;
   EthernetSpeaker* naive = *system.AddSpeaker(naive_options, channel->group);
 
-  system.sim()->RunUntil(Seconds(3));
+  system.RunUntil(Seconds(3));
 
   // The attacker: a station on the same LAN (insider placement — exactly
   // what VLAN separation cannot stop, §5.1). It forges control packets
@@ -80,9 +80,9 @@ int main() {
                                       SerializePacket(fake_data));
   });
   attack.Start();
-  system.sim()->RunUntil(Seconds(13));
+  system.RunUntil(Seconds(13));
   attack.Stop();
-  system.sim()->RunUntil(Seconds(16));
+  system.RunUntil(Seconds(16));
 
   std::printf("after a 10 s forgery flood (100 pkt/s):\n\n");
   for (size_t i = 0; i < protected_speakers.size(); ++i) {

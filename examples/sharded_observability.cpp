@@ -6,16 +6,17 @@
 //
 // Two things are on display:
 //
-//   1. The observability planes just work under sharding: spans assemble
-//      over the barrier-merged mirror, the health sampler ticks at aligned
-//      barriers, and both produce bit-identical results to a classic run
-//      (tests/sharded_determinism_test.cc holds that equality; this example
-//      shows the API shape).
-//   2. The runtime watches itself: every zone registers a "zone-<z>"
-//      station with epoch-duration and barrier-wait histograms, drain
-//      counts, SPSC ring spill/high-watermark gauges, and timer-wheel
-//      cascade counters — rendered as the fleet dashboard's "runtime"
-//      section and exported as Perfetto slices alongside the span trees.
+//   1. The observability planes work the same on every zone count: spans
+//      assemble over the barrier-merged mirror, the health sampler ticks at
+//      aligned barriers, and both produce bit-identical results to a
+//      one-zone run (tests/sharded_determinism_test.cc holds that
+//      equality; this example shows the API shape).
+//   2. The runtime watches itself: EnableZoneTelemetry() registers a
+//      "zone-<z>" station per zone with epoch-duration and barrier-wait
+//      histograms, drain counts, SPSC ring spill/high-watermark gauges, and
+//      timer-wheel cascade counters — rendered as the fleet dashboard's
+//      "runtime" section and exported as Perfetto slices alongside the span
+//      trees.
 //
 // The runtime section's epoch/barrier timings are host wall clock, so this
 // example is a smoke run (no golden-file diff): the structure is stable,
@@ -58,10 +59,11 @@ int main() {
 
   // Both planes over the sharded runtime. Default health rules include the
   // runtime SLOs (ring-spill rate, barrier stall) on top of the usual
-  // queue-drop / deadline-miss set.
+  // queue-drop / deadline-miss set. The planes add no stations of their
+  // own; the runtime's "zone-<z>" stations exist only on request.
   SpanPlane* spans = system.EnableSpanTracing();
   HealthMonitor* health = system.EnableHealthMonitoring();
-  ZoneCollector* collector = system.zone_collector();
+  ZoneCollector* collector = system.EnableZoneTelemetry();
   std::printf("sharded runtime: %d zones; spans=%s health=%s\n\n",
               sys_options.sharded.zones, spans != nullptr ? "on" : "off",
               health != nullptr && health->running() ? "on" : "off");
@@ -84,7 +86,7 @@ int main() {
   // Federate every station registry — speakers, rebroadcaster, and the
   // four zone-<z> runtime stations — into one store and render the
   // dashboard. The "runtime" section appears because zone stations exist;
-  // a classic system renders the identical dashboard minus that section.
+  // without EnableZoneTelemetry() the dashboard renders minus that section.
   FleetStore store;
   for (const auto& station : system.stations()) {
     store.Ingest(SnapshotRegistry(*station->registry, station->name,

@@ -71,8 +71,8 @@ int main() {
   system.RunUntil(Seconds(4));
   PrintWhoHearsWhat(&system, "t=4s: initial bindings");
 
-  // Fence announcements to zone 1 only: this classic (unsharded) system
-  // places every speaker in zone 0, so the subscribe is refused.
+  // Fence announcements to zone 1 only: this one-zone system places every
+  // speaker in zone 0, so the subscribe is refused.
   (void)system.directory()->SetZonePolicy("announcements", {1});
   Status denied = system.SubscribeSpeaker(2, "announcements");
   std::printf("subscribe es-2 under zone policy {1}: %s\n",

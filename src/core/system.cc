@@ -34,27 +34,18 @@ EthernetSpeakerSystem::EthernetSpeakerSystem(const SystemOptions& options)
     kernel_.StartBackgroundDaemons(options_.background_daemon_rate);
   }
   lan_.EnableSharding(&shards_, /*home_shard=*/0);
+  // The zone tracers hold the ground truth (tracer_ is a mirror the
+  // ZoneCollector feeds at barriers), so trace.* sums over them.
+  std::vector<const PacketTracer*> tracers;
   for (int z = 0; z < zones(); ++z) {
     speaker_zones_.push_back(std::make_unique<SpeakerZone>(shards_.sim(z)));
     lan_.RegisterZoneSink(z, speaker_zones_.back().get());
-    if (is_sharded()) {
-      zone_tracers_.push_back(std::make_unique<PacketTracer>(shards_.sim(z)));
-    }
+    zone_tracers_.push_back(std::make_unique<PacketTracer>(shards_.sim(z)));
+    tracers.push_back(zone_tracers_.back().get());
   }
-  lan_.set_tracer(home_tracer());
+  lan_.set_tracer(zone_tracer(0));
   RegisterLanMetrics();
-  if (is_sharded()) {
-    // The zone tracers hold the ground truth (tracer_ is a mirror the
-    // ZoneCollector feeds at barriers); aggregate them so trace.* reads the
-    // same as a one-zone system's single-tracer values.
-    std::vector<const PacketTracer*> tracers;
-    for (const auto& tracer : zone_tracers_) {
-      tracers.push_back(tracer.get());
-    }
-    RegisterTracerMetrics(std::move(tracers), &metrics_);
-  } else {
-    RegisterTracerMetrics(&tracer_, &metrics_);
-  }
+  RegisterTracerMetrics(std::move(tracers), &metrics_);
 }
 
 int EthernetSpeakerSystem::ZoneOf(size_t speaker_index) const {
@@ -153,13 +144,13 @@ Result<Channel*> EthernetSpeakerSystem::CreateChannel(
     return vad.status();
   }
   channel->vad = *vad;
-  channel->vad.master->SetTrace(home_tracer(), channel->stream_id);
+  channel->vad.master->SetTrace(zone_tracer(0), channel->stream_id);
   channel->producer_nic = lan_.CreateNic();
 
   rb_options.stream_id = channel->stream_id;
   rb_options.group = channel->group;
   rb_options.channel_name = name;
-  rb_options.tracer = home_tracer();
+  rb_options.tracer = zone_tracer(0);
   // The channel's metrics live on its own station registry ("rb-<sid>",
   // scraped by the fleet collector) and nowhere else.
   MetricsRegistry* station =
@@ -240,7 +231,7 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
   const size_t index = speakers_.size();
   // Zone placement: block or round-robin per the sharded config. The
   // speaker's event loop, and the tracer its pipeline records into, are the
-  // zone's — zone 0 shares shard 0 (and tracer_) with the producers.
+  // zone's — zone 0 shares shard 0 (and its tracer) with the producers.
   const int spz = options_.sharded.speakers_per_zone;
   const int zone =
       (spz > 0 ? static_cast<int>(index) / spz : static_cast<int>(index)) %
@@ -316,24 +307,27 @@ void EthernetSpeakerSystem::AttachSpeakerSpans(size_t index) {
                      station != nullptr ? station->registry.get() : nullptr);
 }
 
-ZoneCollector* EthernetSpeakerSystem::EnableZoneTelemetry() {
-  if (shards_.shard_count() <= 1) {
-    return nullptr;
-  }
-  if (zone_collector_ != nullptr) {
-    return zone_collector_.get();
-  }
-  std::vector<PacketTracer*> tracers;
-  for (const auto& tracer : zone_tracers_) {
-    tracers.push_back(tracer.get());
-  }
-  zone_collector_ =
-      std::make_unique<ZoneCollector>(&shards_, &tracer_, std::move(tracers));
-  for (int z = 0; z < shards_.shard_count(); ++z) {
-    MetricsRegistry* station = AddStation("zone-" + std::to_string(z));
-    zone_collector_->RegisterZoneStation(z, station);
+ZoneCollector* EthernetSpeakerSystem::BuildZoneCollector() {
+  if (zone_collector_ == nullptr) {
+    std::vector<PacketTracer*> tracers;
+    for (const auto& tracer : zone_tracers_) {
+      tracers.push_back(tracer.get());
+    }
+    zone_collector_ = std::make_unique<ZoneCollector>(&shards_, &tracer_,
+                                                      std::move(tracers));
   }
   return zone_collector_.get();
+}
+
+ZoneCollector* EthernetSpeakerSystem::EnableZoneTelemetry() {
+  ZoneCollector* collector = BuildZoneCollector();
+  if (FindStation("zone-0") == nullptr) {
+    for (int z = 0; z < zones(); ++z) {
+      collector->RegisterZoneStation(z,
+                                     AddStation("zone-" + std::to_string(z)));
+    }
+  }
+  return collector;
 }
 
 SpanPlane* EthernetSpeakerSystem::EnableSpanTracing(
@@ -341,24 +335,16 @@ SpanPlane* EthernetSpeakerSystem::EnableSpanTracing(
   if (spans_ != nullptr) {
     return spans_.get();
   }
-  // Sharded: spans assemble over the barrier-merged mirror. The collector
-  // replays every zone's events into tracer_ in (recorded, zone, position)
-  // order at each epoch barrier, so the exporter sees the same stream a
-  // classic run produces — and the plane's flush runs at aligned barriers
-  // instead of on a periodic task that could fire mid-merge.
-  if (shards_.shard_count() > 1) {
-    EnableZoneTelemetry();
-  }
+  // Spans assemble over the barrier-merged mirror. The collector replays
+  // every zone's events into tracer_ in (recorded, zone, position) order at
+  // each epoch barrier, and flushes the plane at aligned barriers, so the
+  // exporter never runs against a half-merged mirror.
   spans_ = std::make_unique<SpanPlane>(&sim_, &tracer_, &metrics_, options);
-  if (shards_.shard_count() > 1) {
-    spans_->SetExternalFlush(true);
-    SpanPlane* plane = spans_.get();
-    zone_collector_->Drive(
-        options.flush_period, [plane] { plane->Flush(); },
-        [] { return true; });
-    for (auto& tracer : zone_tracers_) {
-      tracer->set_span_stages(true);
-    }
+  SpanPlane* plane = spans_.get();
+  BuildZoneCollector()->Drive(options.flush_period,
+                              [plane] { plane->Flush(); });
+  for (auto& tracer : zone_tracers_) {
+    tracer->set_span_stages(true);
   }
   for (auto& channel : channels_) {
     AttachChannelSpans(channel.get());
@@ -378,14 +364,6 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
     const HealthOptions& options, const HealthRuleDefaults& rules) {
   if (health_ != nullptr) {
     return health_.get();
-  }
-  // Sharded: the sampler ticks at epoch barriers instead of on shard 0's
-  // loop. The ZoneCollector clamps epochs to land exactly on the sampler's
-  // period grid and fires SampleNow() there — every gauge it reads is a
-  // barrier-time snapshot, and the tick instants match the classic
-  // periodic task's, so alert logs compare bit-for-bit.
-  if (shards_.shard_count() > 1) {
-    EnableZoneTelemetry();
   }
   health_ = std::make_unique<HealthMonitor>(&sim_, &metrics_, &tracer_,
                                             options);
@@ -459,7 +437,7 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .help = "Audible dead air is being inserted between chunks"});
   }
 
-  if (shards_.shard_count() > 1 && rules.runtime_rules) {
+  if (zones() > 1 && rules.runtime_rules) {
     // Runtime self-telemetry rules. Ring spills are deterministic counters;
     // barrier stall is wall-clock and will vary run to run (disable
     // runtime_rules when comparing alert logs across runs).
@@ -478,7 +456,7 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .clear_duration = rules.clear_duration,
          .help = "Cross-shard inboxes are overflowing into the spill vector "
                  "(raise sharded.inbox_capacity)"});
-    ZoneCollector* zc = zone_collector_.get();
+    ZoneCollector* zc = BuildZoneCollector();
     health_->WatchReader("runtime.barrier_wait_ms", [zc] {
       return zc->last_barrier_wait_ms();
     });
@@ -495,17 +473,18 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
                  "milliseconds (load imbalance or an overloaded host)"});
   }
 
-  if (shards_.shard_count() > 1) {
-    health_->sampler()->set_external_drive(true);
-    health_->Start();
-    TimeSeriesSampler* sampler = health_->sampler();
-    zone_collector_->Drive(
-        sampler->period(), [sampler] { sampler->SampleNow(); },
-        [sampler] { return sampler->running(); });
-  } else {
-    health_->Start();
-  }
-  return health_.get();
+  // The sampler ticks at epoch barriers: the ZoneCollector clamps epochs to
+  // land exactly on the sampler's period grid and samples there, after
+  // every event at that instant, so each gauge it reads is a barrier-time
+  // snapshot and alert logs do not depend on the zone count.
+  HealthMonitor* health = health_.get();
+  BuildZoneCollector()->Drive(health->sampler()->period(), [health] {
+    if (health->running()) {
+      health->sampler()->SampleNow();
+    }
+  });
+  health->Start();
+  return health;
 }
 
 Status EthernetSpeakerSystem::SubscribeSpeaker(size_t speaker_index,
@@ -537,7 +516,7 @@ void EthernetSpeakerSystem::RefreshDirectory() {
   for (size_t i = 0; i < speakers_.size(); ++i) {
     SpeakerBindingView binding;
     binding.name = "es-" + std::to_string(i);
-    binding.zone = is_sharded() ? ZoneOf(i) : -1;
+    binding.zone = ZoneOf(i);
     for (GroupId group : speakers_[i]->subscriptions()) {
       const StreamSession* session = speakers_[i]->session(group);
       SpeakerSubscriptionView sub;

@@ -31,15 +31,14 @@
 namespace espk {
 
 // Zones (src/sim/shard.h): the system splits its speakers into `zones`
-// SpeakerZones, each living on its own shard with its own event loop and
-// timer wheel; producers, the kernel, and the segment stay on shard 0.
-// Every speaker receives through its zone — zones = 1 is a one-zone group
-// whose speakers all share shard 0 with the producers. Drive a multi-zone
-// system through the system-level RunUntil/RunFor (which run the epoch
-// loop), not sim()->Run*; a one-zone system may use either, since the
-// group clock is shard 0's. Results are deterministic and bit-identical
-// whether zones = 1 or N and whether threads = 1 or many —
-// tests/sharded_determinism_test.cc pins it.
+// SpeakerZones, each living on its own shard with its own event loop,
+// timer wheel, and packet tracer; producers, the kernel, and the segment
+// stay on shard 0. Every speaker receives through its zone — zones = 1 is
+// a one-zone group whose speakers all share shard 0 with the producers.
+// Drive the system through its RunUntil/RunFor, which run the epoch loop:
+// the observability planes tick only at epoch barriers. Results are
+// deterministic and bit-identical whether zones = 1 or N and whether
+// threads = 1 or many — tests/sharded_determinism_test.cc pins it.
 struct ShardedConfig {
   int zones = 1;
   int threads = 1;  // Executor width incl. the caller; clamped to zones.
@@ -89,7 +88,8 @@ class EthernetSpeakerSystem {
   EthernetSpeakerSystem& operator=(const EthernetSpeakerSystem&) = delete;
 
   // Shard 0's simulation — the producer-side clock, and with zones = 1 the
-  // only one.
+  // only one. Schedule producer-side events on it; advance the system with
+  // RunUntil/RunFor below.
   Simulation* sim() { return &sim_; }
   SimKernel* kernel() { return &kernel_; }
   EthernetSegment* lan() { return &lan_; }
@@ -97,21 +97,18 @@ class EthernetSpeakerSystem {
   // The shard group driving all zones (a 1-shard group when zones = 1).
   ShardGroup* shards() { return &shards_; }
   int zones() const { return shards_.shard_count(); }
-  bool is_sharded() const { return shards_.shard_count() > 1; }
   // The zone a speaker landed in, and that zone's event loop / tracer.
   // Zone 0 shares shard 0 with the producers.
   int ZoneOf(size_t speaker_index) const;
   Simulation* zone_sim(int zone) { return shards_.sim(zone); }
-  // Multi-zone: every zone (including zone 0) records into its own tracer,
-  // and tracer() is a mirror the ZoneCollector merges them into at
-  // barriers. One zone: there is one tracer, full stop.
+  // Every zone records into its own tracer, live; the producers and the
+  // segment record into zone 0's.
   PacketTracer* zone_tracer(int zone) {
-    return is_sharded() ? zone_tracers_[static_cast<size_t>(zone)].get()
-                        : &tracer_;
+    return zone_tracers_[static_cast<size_t>(zone)].get();
   }
 
   // Run the whole system — every zone — to/for the given virtual time, in
-  // epochs. These are the only correct way to advance a multi-zone system.
+  // epochs. These are the way to advance the system.
   void RunUntil(SimTime t) { shards_.RunUntil(t); }
   void RunFor(SimDuration d) { shards_.RunFor(d); }
   SimTime now() const { return shards_.now(); }
@@ -122,6 +119,9 @@ class EthernetSpeakerSystem {
   // ExportMetricsToMib (src/mgmt/metrics_mib.h) or dump with
   // metrics()->TextExposition().
   MetricsRegistry* metrics() { return &metrics_; }
+  // The mirror the ZoneCollector merges every zone tracer into at epoch
+  // barriers. It fills only once a plane (or EnableZoneTelemetry) has built
+  // the collector; read zone_tracer(z) for a run without planes.
   PacketTracer* tracer() { return &tracer_; }
 
   // Per-station registries, in creation order. A speaker added as index i
@@ -143,42 +143,46 @@ class EthernetSpeakerSystem {
     SimDuration window = Seconds(1);
     SimDuration for_duration = Milliseconds(200);
     SimDuration clear_duration = Milliseconds(300);
-    // Sharded-runtime self-telemetry rules, installed only on a sharded
-    // system. The ring-spill rule watches a deterministic counter; the
-    // barrier-stall rule watches *wall-clock* barrier waits, which vary run
-    // to run — set runtime_rules = false when comparing alert logs across
-    // runs (the bit-identity tests do).
+    // Sharded-runtime self-telemetry rules, installed only with more than
+    // one zone (ring spills and barrier waits only exist there). The
+    // ring-spill rule watches a deterministic counter; the barrier-stall
+    // rule watches *wall-clock* barrier waits, which vary run to run — set
+    // runtime_rules = false when comparing alert logs across runs (the
+    // bit-identity tests do).
     bool runtime_rules = true;
     double ring_spill_rate_per_sec = 1.0;   // runtime.ring_spill_rate
     double barrier_stall_ms = 250.0;        // runtime.barrier_stall
   };
 
   // Builds the health layer (sampler + SLO alert engine + flight recorder)
-  // over this system's metrics, installs the default rule set for the LAN
-  // and every speaker added so far, and starts sampling. Speaker i's
-  // signals are read from station "es-<i>" and sampled as series
-  // "speaker.<i>.<signal>". Call once, after the system is assembled. Null
-  // until then.
+  // over this system's metrics and the tracer mirror, installs the default
+  // rule set for the LAN and every speaker added so far, and starts
+  // sampling: the ZoneCollector ticks the sampler at the epoch barrier on
+  // every sampler period. Speaker i's signals are read from station
+  // "es-<i>" and sampled as series "speaker.<i>.<signal>". Call once, after
+  // the system is assembled. Null until then.
   HealthMonitor* EnableHealthMonitoring(const HealthOptions& options,
                                         const HealthRuleDefaults& rules);
   HealthMonitor* EnableHealthMonitoring(const HealthOptions& options = {});
   HealthMonitor* health() { return health_.get(); }
 
-  // Builds the causal span plane: attaches the span exporter to the packet
-  // tracer, creates a span buffer per station added so far (stations added
+  // Builds the causal span plane: attaches the span exporter to the tracer
+  // mirror, creates a span buffer per station added so far (stations added
   // later are attached automatically), and routes each channel's producer-
-  // side spans to its "rb-<sid>" station. Speakers start recording the
-  // extra span stages (wire-tx, decode-start) and exemplar-carrying
-  // lateness observations from this call on. Call once; idempotent.
+  // side spans to its "rb-<sid>" station; the ZoneCollector flushes the
+  // plane at the epoch barrier on every flush period. Every zone tracer
+  // starts recording the extra span stages (wire-tx, decode-start) and
+  // exemplar-carrying lateness observations from this call on. Call once;
+  // idempotent.
   SpanPlane* EnableSpanTracing(const SpanPlaneOptions& options = {});
   SpanPlane* spans() { return spans_.get(); }
 
-  // Sharded only (null on a classic system; idempotent): builds the
-  // ZoneCollector that merges zone tracers into the mirror at every epoch
-  // barrier and creates the "zone-<z>" runtime-telemetry stations. Both
-  // Enable* planes call this themselves on a sharded system; call it
-  // directly to get runtime stations without spans or health.
+  // Creates the "zone-<z>" runtime-telemetry stations, one per zone, and
+  // the ZoneCollector that feeds them (idempotent). The collector merges
+  // zone tracers into the mirror at every epoch barrier; the planes build
+  // it too, but only this call creates the stations.
   ZoneCollector* EnableZoneTelemetry();
+  // Null until a plane or EnableZoneTelemetry() builds it.
   ZoneCollector* zone_collector() { return zone_collector_.get(); }
 
   // Allocates a fresh simulated process id.
@@ -260,12 +264,8 @@ class EthernetSpeakerSystem {
   void RegisterLanMetrics();
   void AttachChannelSpans(Channel* channel);
   void AttachSpeakerSpans(size_t index);
-
-  // Where shard-0 components (segment, VADs, rebroadcasters) record traces:
-  // the zone-0 tracer when multi-zone, the one-and-only tracer otherwise.
-  PacketTracer* home_tracer() {
-    return is_sharded() ? zone_tracers_[0].get() : &tracer_;
-  }
+  // Builds the ZoneCollector on first use.
+  ZoneCollector* BuildZoneCollector();
 
   // Creates the station and returns its registry (owned by stations_).
   MetricsRegistry* AddStation(const std::string& name);
@@ -292,12 +292,12 @@ class EthernetSpeakerSystem {
   // into; declared before the component vectors so every instrumented
   // component unwinds first.
   std::vector<std::unique_ptr<Station>> stations_;
-  // Per-zone tracers, empty when zones = 1 (every zone, including zone 0,
-  // records into its own; tracer_ becomes the barrier-merged mirror), and
-  // the per-zone batch sinks every speaker receives through. Declared
-  // before the speakers: a speaker's options_.tracer points at its zone
-  // tracer, and zones hold borrowed speaker/NIC pointers — nothing here
-  // touches them at destruction, but keep the conservative order.
+  // Per-zone tracers (every zone, including zone 0, records into its own;
+  // tracer_ is the barrier-merged mirror), and the per-zone batch sinks
+  // every speaker receives through. Declared before the speakers: a
+  // speaker's options_.tracer points at its zone tracer, and zones hold
+  // borrowed speaker/NIC pointers — nothing here touches them at
+  // destruction, but keep the conservative order.
   std::vector<std::unique_ptr<PacketTracer>> zone_tracers_;
   std::vector<std::unique_ptr<SpeakerZone>> speaker_zones_;
   std::vector<int> speaker_zone_index_;  // Speaker index -> zone.

@@ -110,11 +110,8 @@ std::string SubscriptionDirectory::RenderWhoHearsWhat() const {
           continue;
         }
         any = true;
-        out << "    " << binding.name;
-        if (binding.zone >= 0) {
-          out << " [zone " << binding.zone << "]";
-        }
-        out << ": chunks=" << sub.chunks_played << " late=" << sub.late_drops
+        out << "    " << binding.name << " [zone " << binding.zone
+            << "]: chunks=" << sub.chunks_played << " late=" << sub.late_drops
             << "\n";
       }
     }
@@ -139,11 +136,8 @@ std::string SubscriptionDirectory::RenderWhoHearsWhat() const {
         if (sub.group != group) {
           continue;
         }
-        out << "    " << binding.name;
-        if (binding.zone >= 0) {
-          out << " [zone " << binding.zone << "]";
-        }
-        out << ": chunks=" << sub.chunks_played << " late=" << sub.late_drops
+        out << "    " << binding.name << " [zone " << binding.zone
+            << "]: chunks=" << sub.chunks_played << " late=" << sub.late_drops
             << "\n";
       }
     }

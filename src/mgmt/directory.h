@@ -48,7 +48,7 @@ struct SpeakerSubscriptionView {
 // One speaker's identity and current subscriptions.
 struct SpeakerBindingView {
   std::string name;
-  int zone = -1;  // -1 = classic (unsharded) placement.
+  int zone = 0;
   std::vector<SpeakerSubscriptionView> subs;
 };
 

@@ -37,9 +37,9 @@ struct DashboardOptions {
 
 // Deterministic fleet overview: one row per station (state, data age,
 // metric count, ingest count), then one section per configured query.
-// A sharded runtime's "zone-*" stations additionally render as a
-// "runtime" section (see RenderRuntimeSection); classic fleets have no
-// zone stations and render exactly as before.
+// The runtime's "zone-*" stations (EnableZoneTelemetry) additionally
+// render as a "runtime" section (see RenderRuntimeSection); fleets without
+// them have no such section.
 std::string RenderFleetDashboard(const FleetStore& store, SimTime now,
                                  const DashboardOptions& options = {});
 

@@ -108,10 +108,11 @@ std::string FlightRecorder::BuildPostmortem(
 
   // Last N packet-trace events, oldest first, in canonical (at, stream,
   // seq, stage, node) order. The ring itself is in record order, which on
-  // the sharded mirror can interleave same-instant events from different
-  // zones differently than a classic run; sorting the WHOLE ring before
-  // slicing the tail keeps the document identical either way (sorting only
-  // the tail would cut same-instant tie groups at different points).
+  // the merged mirror can interleave same-instant events from different
+  // zones differently on different zone counts; sorting the WHOLE ring
+  // before slicing the tail keeps the document identical either way
+  // (sorting only the tail would cut same-instant tie groups at different
+  // points).
   if (tracer_ != nullptr) {
     std::vector<TraceEvent> events(tracer_->events().begin(),
                                    tracer_->events().end());

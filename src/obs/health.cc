@@ -33,10 +33,6 @@ TimeSeries* HealthMonitor::WatchReader(const std::string& series_name,
 
 void HealthMonitor::AddRule(SloRule rule) { engine_->AddRule(std::move(rule)); }
 
-void HealthMonitor::Start() { sampler_->Start(); }
-
-void HealthMonitor::Stop() { sampler_->Stop(); }
-
 std::string HealthMonitor::StatusText() const {
   std::string out;
   for (const SloRule& rule : engine_->rules()) {

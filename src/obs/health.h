@@ -1,10 +1,12 @@
 // HealthMonitor ties the health layer's three pieces — the time-series
 // sampler, the SLO alert engine, and the flight recorder — into one object
 // with a single lifetime and a Start() switch. The system (or a test)
-// watches signals and declares rules through it, then lets the sampler's
-// periodic task drive everything: each tick samples the watched metrics,
-// the engine evaluates every rule, and a firing transition makes the
-// recorder dump a postmortem.
+// watches signals and declares rules through it; its owner then ticks the
+// sampler every period while the monitor is running(): each tick samples
+// the watched metrics, the engine evaluates every rule, and a firing
+// transition makes the recorder dump a postmortem. EthernetSpeakerSystem
+// ticks it from its ZoneCollector at epoch barriers aligned to the sampler
+// period, on every zone count.
 #ifndef SRC_OBS_HEALTH_H_
 #define SRC_OBS_HEALTH_H_
 
@@ -47,9 +49,10 @@ class HealthMonitor {
                           std::function<double()> read);
   void AddRule(SloRule rule);
 
-  void Start();
-  void Stop();
-  bool running() const { return sampler_->running(); }
+  // Whether the owner should tick the sampler. Off until Start().
+  void Start() { running_ = true; }
+  void Stop() { running_ = false; }
+  bool running() const { return running_; }
 
   // One line per rule: "<name>: <state> (<observed> vs <threshold>)".
   std::string StatusText() const;
@@ -58,6 +61,7 @@ class HealthMonitor {
   std::unique_ptr<TimeSeriesSampler> sampler_;
   std::unique_ptr<AlertEngine> engine_;
   std::unique_ptr<FlightRecorder> recorder_;
+  bool running_ = false;
 };
 
 }  // namespace espk

@@ -49,7 +49,7 @@ class SpanExporter : public TraceObserver {
   void OnTraceEvent(const TraceEvent& event) override;
 
   // Finalizes (emits root spans for) every in-flight packet idle for at
-  // least trace_ttl. The SpanPlane drives this from a periodic task.
+  // least trace_ttl. SpanPlane::Flush() calls this.
   void FlushIdle(SimTime now);
   // Finalizes everything regardless of idleness (end-of-run drain).
   void FlushAll();

@@ -12,19 +12,14 @@ SpanPlane::SpanPlane(Simulation* sim, PacketTracer* tracer,
       tracer_(tracer),
       options_(options),
       exporter_(sim, options.exporter),
-      assembler_(options.sampler),
-      flush_task_(sim, options.flush_period, [this](SimTime) { Flush(); }) {
+      assembler_(options.sampler) {
   tracer_->SetObserver(&exporter_);
   if (console_registry != nullptr) {
     RegisterAssemblerMetrics(&assembler_, console_registry);
   }
-  flush_task_.Start();
 }
 
-SpanPlane::~SpanPlane() {
-  flush_task_.Stop();
-  tracer_->SetObserver(nullptr);
-}
+SpanPlane::~SpanPlane() { tracer_->SetObserver(nullptr); }
 
 SpanRecorder* SpanPlane::AddStation(const std::string& name, uint32_t node,
                                     MetricsRegistry* station_registry) {
@@ -63,14 +58,6 @@ void SpanPlane::Flush() {
   SimTime now = sim_->now();
   exporter_.FlushIdle(now);
   assembler_.Flush(now);
-}
-
-void SpanPlane::SetExternalFlush(bool external) {
-  if (external) {
-    flush_task_.Stop();
-  } else if (!flush_task_.running()) {
-    flush_task_.Start();
-  }
 }
 
 void SpanPlane::Drain() {

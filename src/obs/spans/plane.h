@@ -1,10 +1,14 @@
 // The span plane in one object: attaches the exporter to the PacketTracer,
 // owns one SpanRecorder per station, owns the console-side assembler, and
-// runs the periodic flush that finalizes idle traces and triggers tail-
-// sampling decisions. The core system wires this up in
-// EnableSpanTracing(); the fleet plane moves recorder contents to the
-// assembler over the mgmt scrape protocol, and CollectLocal() offers the
-// same movement in-process for tests and single-host tools.
+// offers the flush that finalizes idle traces and triggers tail-sampling
+// decisions. The plane owns no timer: its owner calls Flush() every
+// flush_period. The core system wires this up in EnableSpanTracing(),
+// where the tracer is the barrier-merged mirror and the ZoneCollector
+// flushes at epoch barriers aligned to flush_period, so the exporter never
+// runs against a half-merged mirror. The fleet plane moves recorder
+// contents to the assembler over the mgmt scrape protocol, and
+// CollectLocal() offers the same movement in-process for tests and
+// single-host tools.
 #ifndef SRC_OBS_SPANS_PLANE_H_
 #define SRC_OBS_SPANS_PLANE_H_
 
@@ -27,7 +31,8 @@ class PacketTracer;
 struct SpanPlaneOptions {
   // Per-station span ring size.
   size_t recorder_capacity = 4096;
-  // How often idle traces are finalized and sampling decisions run.
+  // How often the owner flushes: idle traces are finalized and sampling
+  // decisions run.
   SimDuration flush_period = Milliseconds(250);
   SpanExporterOptions exporter;
   TailSamplerOptions sampler;
@@ -60,15 +65,9 @@ class SpanPlane {
   // in-process equivalent of a full fleet scrape cycle.
   void CollectLocal();
 
-  // Finalizes idle traces and runs sampling decisions now (the periodic
-  // task calls this; tests can force it).
+  // Finalizes idle traces and runs sampling decisions now. The owner calls
+  // this every flush_period.
   void Flush();
-
-  // External-flush mode: stops the periodic flush task; whoever drives the
-  // plane calls Flush() at flush_period boundaries. The sharded system uses
-  // this — the ZoneCollector flushes at aligned epoch barriers, so the
-  // exporter never runs FlushIdle against a half-merged mirror mid-epoch.
-  void SetExternalFlush(bool external);
 
   // End-of-run: finalize every in-flight trace, collect all buffers, and
   // decide every pending trace.
@@ -88,7 +87,6 @@ class SpanPlane {
   SpanAssembler assembler_;
   std::map<std::string, std::unique_ptr<SpanRecorder>> stations_;
   std::vector<SpanRecorder*> recorders_;  // Creation order.
-  PeriodicTask flush_task_;
 };
 
 }  // namespace espk

@@ -184,28 +184,4 @@ void TimeSeriesSampler::SampleNow() {
   }
 }
 
-void TimeSeriesSampler::Start() {
-  if (external_) {
-    external_running_ = true;
-    return;
-  }
-  if (task_ == nullptr) {
-    task_ = std::make_unique<PeriodicTask>(
-        sim_, options_.period, [this](SimTime) { SampleNow(); });
-  }
-  if (!task_->running()) {
-    task_->Start();
-  }
-}
-
-void TimeSeriesSampler::Stop() {
-  if (external_) {
-    external_running_ = false;
-    return;
-  }
-  if (task_ != nullptr) {
-    task_->Stop();
-  }
-}
-
 }  // namespace espk

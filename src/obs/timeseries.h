@@ -6,6 +6,11 @@
 // simulated clock into fixed-capacity ring-buffer series, and the series
 // answer windowed rate/mean/min/max queries. Everything runs on sim time,
 // so two runs of the same scenario produce bit-identical samples.
+//
+// The sampler owns no timer: its owner calls SampleNow() once per period.
+// In a system that owner is the ZoneCollector, which fires the tick at an
+// epoch barrier landing exactly on the period grid, so every sample reads
+// a fully settled instant on every zone count.
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
 
@@ -68,16 +73,17 @@ class TimeSeries {
 };
 
 struct SamplerOptions {
+  // Tick period the owner drives SampleNow() at.
   SimDuration period = Milliseconds(100);
   // Points retained per series; at the default period, 600 points = 60 s
   // of history.
   size_t series_capacity = 600;
 };
 
-// Periodically snapshots watched metrics into series. Watch the signals
-// after the system is assembled (metrics must already be registered), then
-// Start(); each tick samples every series and then notifies tick listeners
-// (the SLO alert engine evaluates there).
+// Snapshots watched metrics into series whenever its owner calls
+// SampleNow(). Watch the signals after the system is assembled (metrics
+// must already be registered); each tick samples every series and then
+// notifies tick listeners (the SLO alert engine evaluates there).
 class TimeSeriesSampler {
  public:
   explicit TimeSeriesSampler(Simulation* sim,
@@ -115,24 +121,8 @@ class TimeSeriesSampler {
   // Fired after every tick's sampling pass, in registration order.
   void AddTickListener(std::function<void(SimTime)> listener);
 
-  // External-drive mode: no periodic task is created; whoever drives the
-  // sampler calls SampleNow() itself at period boundaries. The sharded
-  // system uses this — the ZoneCollector fires ticks at epoch barriers
-  // aligned to the period, so samples see fully-merged state and land at
-  // the same instants a classic run's periodic task would. Set before
-  // Start().
-  void set_external_drive(bool external) { external_ = external; }
-  bool external_drive() const { return external_; }
-
-  void Start();
-  void Stop();
-  bool running() const {
-    return external_ ? external_running_
-                     : task_ != nullptr && task_->running();
-  }
-
-  // One sampling pass at the current sim time (what the periodic task runs;
-  // tests may call it directly).
+  // One sampling pass at the current sim time. The owner calls this every
+  // period().
   void SampleNow();
 
   uint64_t ticks() const { return ticks_; }
@@ -152,10 +142,7 @@ class TimeSeriesSampler {
   std::map<std::string, TimeSeries*> by_name_;
   std::vector<Source> sources_;
   std::vector<std::function<void(SimTime)>> tick_listeners_;
-  std::unique_ptr<PeriodicTask> task_;
   uint64_t ticks_ = 0;
-  bool external_ = false;
-  bool external_running_ = false;
 };
 
 }  // namespace espk

@@ -151,11 +151,6 @@ RunningStats PacketTracer::StageLatencyMs(TraceStage from,
   return stats;
 }
 
-void RegisterTracerMetrics(const PacketTracer* tracer,
-                           MetricsRegistry* registry) {
-  RegisterTracerMetrics(std::vector<const PacketTracer*>{tracer}, registry);
-}
-
 void RegisterTracerMetrics(std::vector<const PacketTracer*> tracers,
                            MetricsRegistry* registry) {
   registry->GetGauge(

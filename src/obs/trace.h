@@ -12,6 +12,12 @@
 // stage" into a proper per-packet event. Attribution is exact as long as the
 // byte stream flows uninterrupted; a config change flushes staged bytes and
 // the rebroadcaster calls ResetStream, accepting a brief attribution gap.
+//
+// An EthernetSpeakerSystem has one recording tracer per zone (producers and
+// the segment record into zone 0's) on every zone count, plus one mirror
+// that its ZoneCollector (src/obs/zone_collector.h) feeds through Ingest at
+// epoch barriers. The mirror is what the span plane, the health plane, and
+// system.tracer() readers see.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -66,21 +72,20 @@ struct TraceEvent {
   uint32_t node = 0;
   SimTime at = 0;
   // Sim time the event was recorded. Equal to `at` except for the RecordAt
-  // stages (kWireTx, kDecodeStart), whose `at` lies in the future. The
-  // sharded runtime's ZoneCollector merges zone rings in (recorded, zone,
-  // ring position) order — a strict total order, since per-ring positions
-  // are unique — so the merged mirror is deterministic.
+  // stages (kWireTx, kDecodeStart), whose `at` lies in the future. A
+  // system's ZoneCollector merges zone rings in (recorded, zone, ring
+  // position) order — a strict total order, since per-ring positions are
+  // unique — so the merged mirror is deterministic.
   SimTime recorded = 0;
 };
 
-// Receives every event the tracer records, at record time. The span
-// exporter implements this to derive duration spans from the instant
-// stream; components consult PacketTracer::span_stages_enabled() to decide
-// whether the extra span-plane stages (kWireTx, kDecodeStart, exemplars)
-// are worth recording at all, which keeps the spans-off fast path identical
-// to a tracer-only build. (Sharded zone tracers have no observer — the
-// merged mirror does — so span_stages_enabled() also honors an explicit
-// flag the system sets on them when the span plane turns on.)
+// Receives every event the tracer records or ingests. The span exporter
+// implements this to derive duration spans from the instant stream. In a
+// system the observer sits on the barrier-merged mirror, never on a
+// recording zone tracer; components consult the recording tracer's
+// span_stages_enabled() to decide whether the extra span-plane stages
+// (kWireTx, kDecodeStart, exemplars) are worth recording at all, which keeps
+// the spans-off fast path identical to a tracer-only build.
 class TraceObserver {
  public:
   virtual ~TraceObserver() = default;
@@ -111,22 +116,18 @@ class PacketTracer {
   // Attaches/detaches the single span-plane observer. Pass nullptr to
   // detach.
   void SetObserver(TraceObserver* observer) { observer_ = observer; }
-  bool has_observer() const { return observer_ != nullptr; }
 
   // Pushes an already-stamped event verbatim — same evict/observer path as
-  // Record, but `recorded` is preserved instead of restamped. The sharded
+  // Record, but `recorded` is preserved instead of restamped. A system's
   // mirror tracer is fed exclusively through this.
   void Ingest(const TraceEvent& event);
 
-  // Span-plane stages (kWireTx, kDecodeStart, exemplars) are recorded when
-  // an observer is attached OR when this flag is set. Sharded zone tracers
-  // have no observer of their own — the span exporter observes the merged
-  // mirror — so the system sets the flag on every zone tracer when span
-  // tracing is enabled.
+  // Span-plane stages (kWireTx, kDecodeStart, exemplars) are recorded only
+  // while this flag is set. The span exporter observes the merged mirror,
+  // not the zone tracers that record, so the system sets the flag on every
+  // zone tracer when span tracing is enabled.
   void set_span_stages(bool enabled) { span_stages_ = enabled; }
-  bool span_stages_enabled() const {
-    return observer_ != nullptr || span_stages_;
-  }
+  bool span_stages_enabled() const { return span_stages_; }
 
   // Byte-stream stages: `bytes` more bytes passed `stage` now.
   void NoteBytes(uint32_t stream_id, TraceStage stage, size_t bytes);
@@ -185,17 +186,12 @@ class PacketTracer {
 
 class MetricsRegistry;
 
-// Publishes the tracer's own health as gauges ("trace.events_recorded",
-// "trace.events_dropped", "trace.ring_size") so ring overruns are visible in
-// the exposition instead of silently truncating postmortems.
-void RegisterTracerMetrics(const PacketTracer* tracer,
-                           MetricsRegistry* registry);
-
-// Aggregate form for the sharded system: the same three gauges, each summing
-// over every zone tracer, so an overrun in any zone is visible fleet-wide
-// instead of only on the home shard's tracer. Gauge names and help strings
-// match the single-tracer form exactly — the flat exposition of a sharded
-// system stays byte-identical to a classic run's.
+// Publishes the tracers' own health as gauges ("trace.events_recorded",
+// "trace.events_dropped", "trace.ring_size"), each summed over `tracers`, so
+// ring overruns are visible in the exposition instead of silently
+// truncating postmortems. A system passes its zone tracers: an overrun in
+// any zone is visible fleet-wide, and the exposition reads the same on
+// every zone count.
 void RegisterTracerMetrics(std::vector<const PacketTracer*> tracers,
                            MetricsRegistry* registry);
 

@@ -1,21 +1,10 @@
 #include "src/obs/zone_collector.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 
 namespace espk {
 
 namespace {
-
-void AppendF(std::string* out, const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  *out += buf;
-}
 
 uint64_t TotalBusyNs(const Executor& executor) {
   uint64_t total = 0;
@@ -144,11 +133,11 @@ void ZoneCollector::OnBarrier(const ShardGroup::EpochRecord& record) {
     slices_.pop_front();
   }
   // Driven ticks fire only when the barrier lands exactly on the due
-  // instant (NextAlignment guarantees one does); the grid advances whether
-  // or not the callback is active so a restarted sampler stays aligned.
+  // instant (NextAlignment guarantees one does); the grid never moves, so
+  // a callback that skips ticks (a stopped sampler) stays aligned.
   for (Driven& driven : driven_) {
     while (driven.next_due <= record.end) {
-      if (driven.next_due == record.end && driven.active()) {
+      if (driven.next_due == record.end) {
         driven.fire();
       }
       driven.next_due += driven.period;
@@ -156,13 +145,11 @@ void ZoneCollector::OnBarrier(const ShardGroup::EpochRecord& record) {
   }
 }
 
-void ZoneCollector::Drive(SimDuration period, std::function<void()> fire,
-                          std::function<bool()> active) {
+void ZoneCollector::Drive(SimDuration period, std::function<void()> fire) {
   Driven driven;
   driven.period = period;
   driven.next_due = shards_->now() + period;
   driven.fire = std::move(fire);
-  driven.active = std::move(active);
   driven_.push_back(std::move(driven));
 }
 
@@ -276,32 +263,6 @@ void ZoneCollector::RegisterZoneStation(int zone, MetricsRegistry* registry) {
       "runtime.merge_lost",
       [this] { return static_cast<double>(merge_lost_); },
       "Zone trace events evicted before a barrier could merge them");
-}
-
-std::string RuntimePerfettoEvents(const ZoneCollector& collector) {
-  std::string out;
-  bool first = true;
-  for (const ZoneCollector::EpochSlice& slice : collector.epoch_slices()) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\n";
-    // Sim-time slice of the epoch on the zone's runtime track; the wall
-    // side (run/wait) rides in args rather than as slice geometry, since
-    // the timeline is simulated time.
-    AppendF(&out,
-            "{\"name\": \"epoch\", \"cat\": \"runtime\", \"ph\": \"X\", "
-            "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 999, \"tid\": %d, "
-            "\"args\": {\"run_ns\": %llu, \"barrier_wait_ns\": %llu, "
-            "\"drained\": %llu}}",
-            static_cast<double>(slice.start) / 1000.0,
-            static_cast<double>(slice.end - slice.start) / 1000.0, slice.zone,
-            static_cast<unsigned long long>(slice.run_ns),
-            static_cast<unsigned long long>(slice.wait_ns),
-            static_cast<unsigned long long>(slice.drained));
-  }
-  return out;
 }
 
 }  // namespace espk

@@ -1,36 +1,36 @@
-// Per-zone observability collector for the sharded runtime. A classic
-// (single-loop) system has one PacketTracer and one clock, so the span
-// exporter, health sampler, and flight recorder simply observe it. A sharded
-// system has one tracer per zone, each advancing on its own shard — the
-// ZoneCollector is the bridge: it registers as a ShardGroup::BarrierHook and,
-// at every epoch barrier (a single-threaded safe point with all shards
-// parked at the same instant), does three things:
+// Per-zone observability collector. Every EthernetSpeakerSystem zone — on
+// every zone count, one included — records into its own PacketTracer and
+// advances on its own shard, so no observability plane can read one tracer
+// live. The ZoneCollector is the bridge: it registers as a
+// ShardGroup::BarrierHook and, at every epoch barrier (a single-threaded
+// safe point with all shards parked at the same instant), does three
+// things:
 //
 //  1. Merges each zone tracer's fresh events into the system's mirror
 //     tracer in (recorded, zone, per-zone ring position) order — a strict
 //     total order (positions are unique per zone), fully determined by
 //     simulated time, so the merged stream is bit-identical run to run and
 //     independent of executor width. The span exporter and flight recorder
-//     observe the mirror exactly as they would a classic tracer.
+//     observe only the mirror.
 //  2. Snapshots runtime self-telemetry per zone — epoch run / barrier-wait
 //     wall time (histograms), drained message counts, SPSC ring
 //     spills/high-watermark, events processed, timer-wheel cascades, and
-//     per-zone tracer ring health — onto per-zone station registries
-//     ("zone-<z>") that the federation plane scrapes like any speaker.
+//     per-zone tracer ring health — for the per-zone station registries
+//     ("zone-<z>") that EnableZoneTelemetry() creates and the federation
+//     plane scrapes like any speaker.
 //  3. Fires driven periodic callbacks (the health sampler's tick, the span
 //     plane's flush) at barriers aligned exactly to their period, via
 //     NextAlignment(): the epoch planner clamps epochs so a barrier lands
-//     on every tick instant, which is what makes sampled series and alert
-//     evaluations land at the same sim times as a classic run's
-//     PeriodicTask.
+//     on every tick instant. A tick therefore reads the instant fully
+//     settled — after every event at that time — on every zone count.
 //
-// Why merging at the barrier preserves bit-identity: within one zone, ring
-// order is identical to the classic recording order of that zone's events
-// (same code runs at the same sim times). Across zones, the only events a
-// classic run may interleave differently are those recorded at the exact
-// same sim instant on different shards — and every consumer fed by the
-// mirror is insensitive to that interleaving (the exporter keys spans by
-// (trace, station), the sampler reads state only at tick barriers after all
+// Why the merged stream does not depend on the zone count: within one
+// zone, ring order is the recording order of that zone's events (same code
+// runs at the same sim times). Across zones, the only events a one-zone run
+// may interleave differently are those recorded at the exact same sim
+// instant on different shards — and every consumer fed by the mirror is
+// insensitive to that interleaving (the exporter keys spans by (trace,
+// station), the sampler reads state only at tick barriers after all
 // same-instant events ran, and the flight recorder dumps its trace section
 // canonically sorted).
 #ifndef SRC_OBS_ZONE_COLLECTOR_H_
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/base/time_types.h"
@@ -100,10 +99,8 @@ class ZoneCollector : public ShardGroup::BarrierHook {
 
   // Registers a periodic callback driven at barriers: the first firing is
   // one period from the group clock's now, then every period, each at a
-  // barrier landing exactly on the tick instant. `active` gates firing
-  // (ticks stay on the original grid while inactive).
-  void Drive(SimDuration period, std::function<void()> fire,
-             std::function<bool()> active);
+  // barrier landing exactly on the tick instant.
+  void Drive(SimDuration period, std::function<void()> fire);
 
   // Readers for the default runtime SLO rules. Ring spills are part of the
   // deterministic results; barrier waits are wall clock (vary run to run).
@@ -139,7 +136,6 @@ class ZoneCollector : public ShardGroup::BarrierHook {
     SimDuration period = 0;
     SimTime next_due = 0;
     std::function<void()> fire;
-    std::function<bool()> active;
   };
   struct TaggedEvent {
     TraceEvent event;
@@ -166,13 +162,6 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   uint64_t wall_elapsed_ns_ = 0;
   std::chrono::steady_clock::time_point created_tp_;
 };
-
-// Trace Event Format objects for the collector's retained epoch slices —
-// comma-joined, no enclosing array — ready to splice into PerfettoSpanJson's
-// traceEvents via its extra_events parameter. Each zone gets an "epoch"
-// slice per epoch on pid 999 ("espk runtime"), tid = zone, with wall-clock
-// run/wait and drained counts in args.
-std::string RuntimePerfettoEvents(const ZoneCollector& collector);
 
 }  // namespace espk
 

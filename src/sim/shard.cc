@@ -5,7 +5,6 @@
 #include "src/base/buffer.h"
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 namespace espk {
@@ -191,22 +190,6 @@ void ShardGroup::RunUntil(SimTime t) {
     epoch_end = std::min(epoch_end, t);
     // Land a barrier exactly on the earliest hook alignment (sampler tick,
     // plane flush); a shorter epoch is always conservative.
-    const SimTime align = HookAlignment();
-    if (align > now() && align < epoch_end) {
-      epoch_end = align;
-    }
-    RunEpoch(epoch_end);
-  }
-}
-
-void ShardGroup::RunUntilIdle() {
-  for (;;) {
-    const SimTime next = NextEventTime();
-    if (next == Simulation::kNoPendingEvent) {
-      return;  // No events anywhere and every inbox drained at the barrier.
-    }
-    assert(next <= std::numeric_limits<SimTime>::max() - lookahead_);
-    SimTime epoch_end = std::max(next, now()) + lookahead_;
     const SimTime align = HookAlignment();
     if (align > now() && align < epoch_end) {
       epoch_end = align;

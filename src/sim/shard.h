@@ -129,10 +129,6 @@ class ShardGroup {
   void RunUntil(SimTime t);
   void RunFor(SimDuration d) { RunUntil(now() + d); }
 
-  // Epoch loop until every shard is out of events and no message is in
-  // flight; the group clock ends at the last event's time.
-  void RunUntilIdle();
-
   // Observability for tests and bench: epochs executed so far, total
   // cross-shard messages, and how many overflowed a ring into the spill
   // vector. The counters are aggregated from per-link producer-owned

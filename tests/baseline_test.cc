@@ -49,7 +49,7 @@ TEST(UnicastBaselineTest, MulticastLoadIsFlat) {
       so.decode_speed_factor = 0.05;
       EXPECT_TRUE(system.AddSpeaker(so, channel->group).ok());
     }
-    system.sim()->RunUntil(Seconds(10));
+    system.RunUntil(Seconds(10));
     return system.lan()->stats().bytes_on_wire;
   };
   uint64_t one = run_multicast(1);
@@ -70,7 +70,7 @@ TEST(UnsyncReceiverTest, PlaysTheStream) {
   auto nic = system.lan()->CreateNic();
   UnsyncReceiver radio(system.sim(), nic.get(), UnsyncReceiverOptions{});
   ASSERT_TRUE(radio.Tune(channel->group).ok());
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   EXPECT_TRUE(radio.ready());
   EXPECT_GT(radio.chunks_played(), 30u);
 }
@@ -98,14 +98,14 @@ TEST(UnsyncReceiverTest, StaggeredStartsStayPermanentlySkewed) {
   so.decode_speed_factor = 0.05;
   EthernetSpeaker* es1 = *system.AddSpeaker(so, channel->group);
 
-  system.sim()->RunUntil(Seconds(3));
+  system.RunUntil(Seconds(3));
 
   auto nic2 = system.lan()->CreateNic();
   UnsyncReceiver radio2(system.sim(), nic2.get(), UnsyncReceiverOptions{});
   ASSERT_TRUE(radio2.Tune(channel->group).ok());
   EthernetSpeaker* es2 = *system.AddSpeaker(so, channel->group);
 
-  system.sim()->RunUntil(Seconds(12));
+  system.RunUntil(Seconds(12));
 
   // Compare over a window where everyone is playing.
   const SimTime from = Seconds(8);

@@ -25,7 +25,7 @@ TEST(PresenceTest, ChannelSuspendsWithoutListenersAndResumesOnJoin) {
   monitor.Start();
 
   // No listeners: after 3 polls the channel suspends.
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   EXPECT_TRUE(channel->rebroadcaster->suspended());
   EXPECT_EQ(monitor.suspensions(), 1u);
   uint64_t packets_when_suspended =
@@ -35,7 +35,7 @@ TEST(PresenceTest, ChannelSuspendsWithoutListenersAndResumesOnJoin) {
 
   // Ten more seconds of silence on the wire — but control packets keep
   // going so the channel remains joinable.
-  system.sim()->RunUntil(Seconds(15));
+  system.RunUntil(Seconds(15));
   EXPECT_EQ(channel->rebroadcaster->stats().data_packets,
             packets_when_suspended);
   EXPECT_GT(channel->rebroadcaster->stats().control_packets,
@@ -47,7 +47,7 @@ TEST(PresenceTest, ChannelSuspendsWithoutListenersAndResumesOnJoin) {
   SpeakerOptions so;
   so.decode_speed_factor = 0.1;
   EthernetSpeaker* speaker = *system.AddSpeaker(so, channel->group);
-  system.sim()->RunUntil(Seconds(25));
+  system.RunUntil(Seconds(25));
   EXPECT_FALSE(channel->rebroadcaster->suspended());
   EXPECT_EQ(monitor.resumptions(), 1u);
   EXPECT_GT(speaker->stats().chunks_played, 12u);  // ~2 chunks/s at 8 kHz.
@@ -66,7 +66,7 @@ TEST(PresenceTest, ListenerPresentFromTheStartNeverSuspends) {
   (void)*system.AddSpeaker(so, channel->group);
   PresenceMonitor monitor(&system);
   monitor.Start();
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   EXPECT_EQ(monitor.suspensions(), 0u);
   EXPECT_FALSE(channel->rebroadcaster->suspended());
 }
@@ -84,10 +84,10 @@ TEST(PresenceTest, UntuneEventuallySuspends) {
   EthernetSpeaker* speaker = *system.AddSpeaker(so, channel->group);
   PresenceMonitor monitor(&system);
   monitor.Start();
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   EXPECT_FALSE(channel->rebroadcaster->suspended());
   ASSERT_TRUE(speaker->Untune().ok());
-  system.sim()->RunUntil(Seconds(12));
+  system.RunUntil(Seconds(12));
   EXPECT_TRUE(channel->rebroadcaster->suspended());
 }
 
@@ -119,7 +119,7 @@ TEST(ClockSmoothingTest, ReducesJitterInducedSkew) {
     // Sample skew across several control epochs and keep the worst.
     double worst = 0.0;
     for (int probe = 0; probe < 8; ++probe) {
-      system.sim()->RunFor(Seconds(2));
+      system.RunFor(Seconds(2));
       auto report = system.MeasureSync(system.sim()->now() - Seconds(1),
                                        Milliseconds(600), Milliseconds(30));
       worst = std::max(worst, report.max_skew_seconds);

@@ -398,7 +398,7 @@ FleetRunResult RunFleetScenario() {
       }
     }
   });
-  system.sim()->RunUntil(Seconds(24));
+  system.RunUntil(Seconds(24));
 
   const FleetStore& store = *plane.store();
   result.stations = store.Stations();

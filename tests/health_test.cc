@@ -13,9 +13,9 @@
 #include "src/base/logging.h"
 #include "src/core/system.h"
 #include "src/mgmt/agent.h"
-#include "src/obs/chrome_trace.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
+#include "src/obs/spans/perfetto.h"
 
 namespace espk {
 namespace {
@@ -135,15 +135,17 @@ TEST(SamplerTest, SamplesCountersGaugesAndPercentilesOnSimClock) {
     EXPECT_EQ(sampler.Watch("missing", registry.Find("missing")), nullptr);
   }
 
-  // Drive the system: counter +1 per 50 ms, gauge follows sim seconds.
+  // Drive the system: counter +1 per 50 ms, gauge follows sim seconds. The
+  // sampler owns no timer; its owner ticks it every period.
   PeriodicTask driver(&sim, Milliseconds(50), [&](SimTime now) {
     counter->Increment();
     level = ToSecondsF(now);
     histogram->Observe(42.0);
   });
+  PeriodicTask ticker(&sim, sampler.period(),
+                      [&](SimTime) { sampler.SampleNow(); });
   driver.Start();
-  sampler.Start();
-  EXPECT_TRUE(sampler.running());
+  ticker.Start();
   sim.RunUntil(Seconds(2));
 
   EXPECT_GE(sampler.ticks(), 19u);
@@ -153,10 +155,10 @@ TEST(SamplerTest, SamplesCountersGaugesAndPercentilesOnSimClock) {
   // constant 42 lands just under 43.
   EXPECT_NEAR(p_series->Latest().value_or(0.0), 42.5, 0.6);
 
-  sampler.Stop();
+  ticker.Stop();
   uint64_t ticks = sampler.ticks();
   sim.RunUntil(Seconds(3));
-  EXPECT_EQ(sampler.ticks(), ticks);  // Stopped means stopped.
+  EXPECT_EQ(sampler.ticks(), ticks);  // No tick, no sample.
 }
 
 // -------------------------------------------------------------- AlertEngine
@@ -506,7 +508,7 @@ SqueezeRunResult RunBandwidthSqueezeScenario() {
   system.sim()->ScheduleAt(Seconds(14), [&system] {
     system.lan()->set_bandwidth_bps(100e6);
   });
-  system.sim()->RunUntil(Seconds(24));
+  system.RunUntil(Seconds(24));
 
   SqueezeRunResult result;
   for (const MgmtTrap& trap : console.trap_log()) {
@@ -642,7 +644,7 @@ TEST(HealthEndToEndTest, ShardedMonitorTicksAtBarriers) {
   system.lan()->set_bandwidth_bps(100e6);
   system.RunUntil(Seconds(6));
 
-  // Barrier-driven ticks land exactly on the classic 100 ms grid.
+  // Barrier-driven ticks land exactly on the 100 ms period grid.
   EXPECT_EQ(health->sampler()->ticks(), 60u);
   bool queue_drop_fired = false;
   for (const AlertTransition& transition : health->engine()->log()) {
@@ -675,7 +677,7 @@ TEST(HealthEndToEndTest, HealthySystemStaysQuiet) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(22), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   EXPECT_EQ(health->engine()->fired_total(), 0u)
       << health->StatusText();
   EXPECT_TRUE(health->recorder()->postmortems().empty());

@@ -123,7 +123,7 @@ TEST_P(PipelineConservation, SentEqualsPlayedPlusDroppedUnderLoss) {
   opts.total_frames = 8000 * 10;
   (void)*system.StartPlayer(channel, std::make_unique<SineGenerator>(440.0),
                             opts);
-  system.sim()->RunUntil(Seconds(20));
+  system.RunUntil(Seconds(20));
 
   const RebroadcasterStats& sent = channel->rebroadcaster->stats();
   const SpeakerStats& recv = speaker->stats();
@@ -171,7 +171,7 @@ TEST(InvariantTest, RebroadcasterSequenceNumbersAreDense) {
   opts.chunk_frames = 800;
   (void)*system.StartPlayer(channel, std::make_unique<SineGenerator>(440.0),
                             opts);
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   ASSERT_GT(seqs.size(), 10u);
   for (size_t i = 0; i < seqs.size(); ++i) {
     EXPECT_EQ(seqs[i], static_cast<uint32_t>(i));
@@ -199,7 +199,7 @@ TEST(InvariantTest, DataDeadlinesAdvanceByExactlyTheAudioDuration) {
   opts.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(1),
                             opts);
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   ASSERT_GT(deadlines.size(), 10u);
   SimDuration expected = FramesToDuration(4096, 44100);
   for (size_t i = 1; i < deadlines.size(); ++i) {

@@ -99,11 +99,11 @@ class MgmtFixture : public ::testing::Test {
 };
 
 TEST_F(MgmtFixture, GetNameAndStats) {
-  system_.sim()->RunUntil(Seconds(3));
+  system_.RunUntil(Seconds(3));
   std::vector<MgmtResponse> responses;
   console_->Get(0, MibOidName(),
                 [&](const MgmtResponse& r) { responses.push_back(r); });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].ok);
   EXPECT_EQ(responses[0].value, "es-lobby");
@@ -111,7 +111,7 @@ TEST_F(MgmtFixture, GetNameAndStats) {
   responses.clear();
   console_->Get(0, MibOidChunksPlayed(),
                 [&](const MgmtResponse& r) { responses.push_back(r); });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_GT(std::stoul(responses[0].value), 0u);
 }
@@ -145,11 +145,11 @@ TEST(MgmtZoneTest, AgentOnZoneSpeakerAnswersOnEveryZoneCount) {
 }
 
 TEST_F(MgmtFixture, SetVolumeTakesEffect) {
-  system_.sim()->RunUntil(Seconds(1));
+  system_.RunUntil(Seconds(1));
   bool ok = false;
   console_->Set(0, MibOidVolume(), "0.25",
                 [&](const MgmtResponse& r) { ok = r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(ok);
   EXPECT_FLOAT_EQ(speaker_->gain(), 0.25f);
 
@@ -157,22 +157,22 @@ TEST_F(MgmtFixture, SetVolumeTakesEffect) {
   bool rejected = true;
   console_->Set(0, MibOidVolume(), "loud",
                 [&](const MgmtResponse& r) { rejected = !r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(rejected);
   console_->Set(0, MibOidVolume(), "100",
                 [&](const MgmtResponse& r) { rejected = !r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(rejected);
   EXPECT_FLOAT_EQ(speaker_->gain(), 0.25f);
 }
 
 TEST_F(MgmtFixture, TargetedRequestIgnoredByOthers) {
-  system_.sim()->RunUntil(Seconds(1));
+  system_.RunUntil(Seconds(1));
   int responses = 0;
   // Address a node id that is not the speaker's.
   console_->Get(99999, MibOidName(),
                 [&](const MgmtResponse&) { ++responses; });
-  system_.sim()->RunFor(Milliseconds(200));
+  system_.RunFor(Milliseconds(200));
   EXPECT_EQ(responses, 0);
 }
 
@@ -186,11 +186,11 @@ TEST_F(MgmtFixture, RemoteChannelSwitch) {
                   .StartPlayer(voice,
                                std::make_unique<SpeechLikeGenerator>(2), opts)
                   .ok());
-  system_.sim()->RunUntil(Seconds(2));
+  system_.RunUntil(Seconds(2));
   EXPECT_EQ(speaker_->tuned_group().value_or(0), channel_->group);
 
   console_->Set(0, MibOidChannel(), std::to_string(voice->group), nullptr);
-  system_.sim()->RunFor(Seconds(2));
+  system_.RunFor(Seconds(2));
   EXPECT_EQ(speaker_->tuned_group().value_or(0), voice->group);
   ASSERT_TRUE(speaker_->ready());
   EXPECT_EQ(speaker_->config()->sample_rate, 8000);
@@ -205,13 +205,13 @@ TEST_F(MgmtFixture, RemoteSubscribeAndUnsubscribe) {
                   .StartPlayer(voice,
                                std::make_unique<SpeechLikeGenerator>(4), opts)
                   .ok());
-  system_.sim()->RunUntil(Seconds(1));
+  system_.RunUntil(Seconds(1));
 
   // Add the voice stream on top of music via .1.6.
   bool ok = false;
   console_->Set(0, MibOidSubscribe(), std::to_string(voice->group),
                 [&](const MgmtResponse& r) { ok = r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(ok);
   ASSERT_EQ(speaker_->subscriptions().size(), 2u);
 
@@ -219,7 +219,7 @@ TEST_F(MgmtFixture, RemoteSubscribeAndUnsubscribe) {
   std::vector<MgmtResponse> responses;
   console_->Get(0, MibOidSubscriptions(),
                 [&](const MgmtResponse& r) { responses.push_back(r); });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].value, std::to_string(channel_->group) + "," +
                                     std::to_string(voice->group));
@@ -228,12 +228,12 @@ TEST_F(MgmtFixture, RemoteSubscribeAndUnsubscribe) {
   bool rejected = false;
   console_->Set(0, MibOidSubscribe(), std::to_string(voice->group),
                 [&](const MgmtResponse& r) { rejected = !r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(rejected);
   rejected = false;
   console_->Set(0, MibOidSubscribe(), "0",
                 [&](const MgmtResponse& r) { rejected = !r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(rejected);
 
   // Drop the original music subscription via .1.7: only voice remains, and
@@ -241,11 +241,11 @@ TEST_F(MgmtFixture, RemoteSubscribeAndUnsubscribe) {
   ok = false;
   console_->Set(0, MibOidUnsubscribe(), std::to_string(channel_->group),
                 [&](const MgmtResponse& r) { ok = r.ok; });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   EXPECT_TRUE(ok);
   ASSERT_EQ(speaker_->subscriptions().size(), 1u);
   EXPECT_EQ(speaker_->subscriptions()[0], voice->group);
-  system_.sim()->RunFor(Seconds(2));
+  system_.RunFor(Seconds(2));
   ASSERT_TRUE(speaker_->ready());
   EXPECT_EQ(speaker_->config()->sample_rate, 8000);
 }
@@ -261,20 +261,20 @@ TEST_F(MgmtFixture, OverrideAndRestore) {
                   .StartPlayer(announcements,
                                std::make_unique<SpeechLikeGenerator>(3), opts)
                   .ok());
-  system_.sim()->RunUntil(Seconds(2));
+  system_.RunUntil(Seconds(2));
   GroupId original = speaker_->tuned_group().value_or(0);
 
   console_->OverrideAll(announcements->group);
-  system_.sim()->RunFor(Seconds(2));
+  system_.RunFor(Seconds(2));
   EXPECT_EQ(speaker_->tuned_group().value_or(0), announcements->group);
 
   console_->RestoreAll();
-  system_.sim()->RunFor(Seconds(2));
+  system_.RunFor(Seconds(2));
   EXPECT_EQ(speaker_->tuned_group().value_or(0), original);
 }
 
 TEST_F(MgmtFixture, WalkTheWholeMib) {
-  system_.sim()->RunUntil(Seconds(1));
+  system_.RunUntil(Seconds(1));
   std::vector<Oid> walked;
   std::function<void(Oid)> step = [&](Oid cursor) {
     console_->GetNext(0, cursor, [&, cursor](const MgmtResponse& r) {
@@ -286,7 +286,7 @@ TEST_F(MgmtFixture, WalkTheWholeMib) {
     });
   };
   step({});
-  system_.sim()->RunFor(Seconds(1));
+  system_.RunFor(Seconds(1));
   EXPECT_EQ(walked.size(), 10u);  // All registered speaker OIDs.
 }
 
@@ -332,7 +332,7 @@ TEST(DirectoryTest, WhoHearsWhatListsStreamsSubscribersAndForeignGroups) {
   ASSERT_TRUE(directory.RegisterStream("music", 1, CodecId::kVorbix).ok());
   ASSERT_TRUE(directory.RegisterStream("voice", 2, CodecId::kRaw).ok());
   directory.UpdateBindings({
-      {"es-0", /*zone=*/-1, {{kFirstChannelGroup, 120, 2}}},
+      {"es-0", /*zone=*/0, {{kFirstChannelGroup, 120, 2}}},
       {"es-1",
        /*zone=*/1,
        {{kFirstChannelGroup, 80, 0}, {kFirstChannelGroup + 1, 40, 1}}},
@@ -343,7 +343,7 @@ TEST(DirectoryTest, WhoHearsWhatListsStreamsSubscribersAndForeignGroups) {
             std::string::npos);
   EXPECT_NE(view.find("music (stream 1, group 16, codec vorbix"),
             std::string::npos);
-  EXPECT_NE(view.find("es-0: chunks=120 late=2"), std::string::npos);
+  EXPECT_NE(view.find("es-0 [zone 0]: chunks=120 late=2"), std::string::npos);
   EXPECT_NE(view.find("es-1 [zone 1]: chunks=80 late=0"), std::string::npos);
   EXPECT_NE(view.find("unregistered group 999"), std::string::npos);
   EXPECT_NE(view.find("es-2 [zone 2]: chunks=7 late=0"), std::string::npos);
@@ -381,7 +381,7 @@ TEST(MetricsMibTest, ExportRegistersPerKindArcs) {
 }
 
 TEST_F(MgmtFixture, MibWalkEnumeratesLiveSystemMetrics) {
-  system_.sim()->RunUntil(Seconds(3));
+  system_.RunUntil(Seconds(3));
   // One MIB per station (§5.3): the system's own, the channel's, and the
   // speaker's. Walk each whole tree via GetNext, as an NMS console would.
   auto walk = [](const MetricsRegistry* registry) {
@@ -510,7 +510,7 @@ TEST_F(MgmtFixture, AlertTransitionsArriveAsTraps) {
                    .threshold = -1.0});
   std::vector<MgmtTrap> handled;
   console_->SetTrapHandler([&](const MgmtTrap& t) { handled.push_back(t); });
-  system_.sim()->RunFor(Seconds(1));
+  system_.RunFor(Seconds(1));
 
   ASSERT_EQ(console_->traps_received(), 1u);
   ASSERT_EQ(handled.size(), 1u);
@@ -524,7 +524,7 @@ TEST_F(MgmtFixture, AlertTransitionsArriveAsTraps) {
   std::vector<MgmtResponse> responses;
   console_->Get(0, MibOidName(),
                 [&](const MgmtResponse& r) { responses.push_back(r); });
-  system_.sim()->RunFor(Milliseconds(100));
+  system_.RunFor(Milliseconds(100));
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].value, "es-lobby");
 }

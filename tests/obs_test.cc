@@ -370,7 +370,7 @@ TEST(PacketTracerTest, TracerMetricsExposeRingOverrun) {
   Simulation sim;
   MetricsRegistry registry(&sim);
   PacketTracer tracer(&sim, /*capacity=*/4);
-  RegisterTracerMetrics(&tracer, &registry);
+  RegisterTracerMetrics({&tracer}, &registry);
   for (uint32_t seq = 0; seq < 10; ++seq) {
     tracer.Record(1, seq, TraceStage::kEncode);
   }

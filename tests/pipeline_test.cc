@@ -31,7 +31,7 @@ TEST(PipelineTest, OneProducerThreeSpeakersPlayTheSameAudio) {
                                std::make_unique<MusicLikeGenerator>(1),
                                player_options)
                   .ok());
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
 
   for (EthernetSpeaker* s : {s1, s2, s3}) {
     ASSERT_TRUE(s->ready()) << s->name();
@@ -60,7 +60,7 @@ TEST(PipelineTest, SpeakersArePerfectlySynchronized) {
                                std::make_unique<MusicLikeGenerator>(2),
                                player_options)
                   .ok());
-  system.sim()->RunUntil(Seconds(8));
+  system.RunUntil(Seconds(8));
 
   auto report = system.MeasureSync(Seconds(3), Seconds(1), Milliseconds(50));
   EXPECT_EQ(report.speaker_pairs, 6);
@@ -83,16 +83,16 @@ TEST(PipelineTest, LateJoinerStartsAfterNextControlPacket) {
                                std::make_unique<MusicLikeGenerator>(3),
                                player_options)
                   .ok());
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
 
   EthernetSpeaker* late =
       *system.AddSpeaker(FastSpeaker("late"), channel->group);
   EXPECT_FALSE(late->ready());
-  system.sim()->RunUntil(Seconds(5) + Milliseconds(1100));
+  system.RunUntil(Seconds(5) + Milliseconds(1100));
   EXPECT_TRUE(late->ready());  // Control packets come every second.
   EXPECT_GT(late->stats().waiting_drops, 0u);  // Data before control: dropped.
 
-  system.sim()->RunUntil(Seconds(12));
+  system.RunUntil(Seconds(12));
   EXPECT_GT(late->stats().chunks_played, 20u);
   // Once playing, the late joiner is in sync with the early speaker.
   auto report = system.MeasureSync(Seconds(8), Seconds(1), Milliseconds(50));
@@ -112,7 +112,7 @@ TEST(PipelineTest, PlayedAudioIsFaithfulToSource) {
                   .StartPlayer(channel, std::make_unique<SineGenerator>(440.0),
                                player_options)
                   .ok());
-  system.sim()->RunUntil(Seconds(6));
+  system.RunUntil(Seconds(6));
 
   ASSERT_TRUE(speaker->ready());
   std::vector<float> played = speaker->output()->Render(Seconds(2), Seconds(2));
@@ -144,7 +144,7 @@ TEST(PipelineTest, SelectiveCompressionByBitrate) {
                                std::make_unique<SpeechLikeGenerator>(5),
                                phone_opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(3));
+  system.RunUntil(Seconds(3));
 
   EXPECT_TRUE(cd_channel->rebroadcaster->compressing());
   EXPECT_FALSE(phone_channel->rebroadcaster->compressing());
@@ -163,7 +163,7 @@ TEST(PipelineTest, CompressionReducesWireLoadSubstantially) {
                     .StartPlayer(channel,
                                  std::make_unique<MusicLikeGenerator>(6), opts)
                     .ok());
-    system.sim()->RunUntil(Seconds(10));
+    system.RunUntil(Seconds(10));
     return channel->rebroadcaster->stats();
   };
   RebroadcasterStats raw = run(false);
@@ -185,7 +185,7 @@ TEST(PipelineTest, RateLimiterKeepsProducerAtRealTime) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(7), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   const RebroadcasterStats& stats = channel->rebroadcaster->stats();
   double seconds_sent =
       static_cast<double>(stats.pcm_bytes_in) /
@@ -215,7 +215,7 @@ TEST(PipelineTest, WithoutRateLimiterTheSongBlastsAndSpeakersLoseMost) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(8), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(70));
+  system.RunUntil(Seconds(70));
 
   const RebroadcasterStats& pstats = channel->rebroadcaster->stats();
   // The whole song left the producer long before 60 s of real time.
@@ -241,7 +241,7 @@ TEST(PipelineTest, PacketLossCausesGapsButPlaybackContinues) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(9), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(20));
+  system.RunUntil(Seconds(20));
   ASSERT_TRUE(speaker->ready());
   // Lost packets leave gaps, but the stream keeps going: played chunks plus
   // network losses account for everything sent.
@@ -264,7 +264,7 @@ TEST(PipelineTest, JitterWithinEpsilonStaysInaudible) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(10), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   EXPECT_EQ(s1->stats().late_drops, 0u);
   EXPECT_EQ(s2->stats().late_drops, 0u);
   // Skew between speakers is bounded by the clock-offset error the jitter
@@ -292,7 +292,7 @@ TEST(PipelineTest, SourceGapResyncsDeadlines) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(11), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(6));
+  system.RunUntil(Seconds(6));
   uint64_t played_after_first = speaker->stats().chunks_played;
   EXPECT_GT(played_after_first, 20u);
 
@@ -301,7 +301,7 @@ TEST(PipelineTest, SourceGapResyncsDeadlines) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(12), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(12));
+  system.RunUntil(Seconds(12));
   EXPECT_GT(speaker->stats().chunks_played, played_after_first + 20u);
   EXPECT_EQ(speaker->stats().late_drops, 0u);
 }
@@ -326,7 +326,7 @@ TEST(PipelineTest, SpeakerSwitchesChannels) {
                   .ok());
 
   EthernetSpeaker* speaker = *system.AddSpeaker(FastSpeaker("es"), music->group);
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   ASSERT_TRUE(speaker->ready());
   EXPECT_EQ(speaker->config()->sample_rate, 44100);
   uint64_t music_chunks = speaker->stats().chunks_played;
@@ -336,7 +336,7 @@ TEST(PipelineTest, SpeakerSwitchesChannels) {
   // transmission without the server's knowledge or cooperation", §6).
   ASSERT_TRUE(speaker->Tune(voice->group).ok());
   EXPECT_FALSE(speaker->ready());  // Must wait for a control packet again.
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   ASSERT_TRUE(speaker->ready());
   EXPECT_EQ(speaker->config()->sample_rate, 8000);
   EXPECT_GT(speaker->stats().chunks_played, music_chunks);
@@ -440,7 +440,7 @@ TEST(PipelineTest, EightSimultaneousStreams) {
         *system.AddSpeaker(FastSpeaker("es" + std::to_string(i)),
                            channel->group));
   }
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
   for (EthernetSpeaker* s : speakers) {
     ASSERT_TRUE(s->ready()) << s->name();
     EXPECT_GT(s->stats().chunks_played, 30u) << s->name();
@@ -458,11 +458,11 @@ TEST(PipelineTest, PacketTraceCoversWholeLifecycle) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(16), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(5));
+  system.RunUntil(Seconds(5));
 
   // A mid-stream packet that has long since left the playout pipeline.
   const uint32_t seq = 20;
-  auto events = system.tracer()->EventsFor(channel->stream_id, seq);
+  auto events = system.zone_tracer(0)->EventsFor(channel->stream_id, seq);
   std::vector<TraceStage> stages;
   for (const TraceEvent& event : events) {
     stages.push_back(event.stage);
@@ -473,7 +473,7 @@ TEST(PipelineTest, PacketTraceCoversWholeLifecycle) {
       TraceStage::kSpeakerReceive, TraceStage::kDecodeDone,
       TraceStage::kPlay};
   ASSERT_EQ(stages, expected)
-      << system.tracer()->Dump(channel->stream_id, seq);
+      << system.zone_tracer(0)->Dump(channel->stream_id, seq);
   // The lifecycle moves forward in simulated time, stage by stage.
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].at, events[i - 1].at)
@@ -482,7 +482,7 @@ TEST(PipelineTest, PacketTraceCoversWholeLifecycle) {
   // Send-to-play latency across the ring sits inside the playout window:
   // bounded by playout_delay plus the rate limiter's lead (the initial
   // burst is sent early and waits in the jitter buffer).
-  RunningStats e2e = system.tracer()->StageLatencyMs(
+  RunningStats e2e = system.zone_tracer(0)->StageLatencyMs(
       TraceStage::kMulticastSend, TraceStage::kPlay);
   EXPECT_GT(e2e.count(), 10);
   EXPECT_GT(e2e.mean(), 0.0);
@@ -514,13 +514,13 @@ TEST(PipelineTest, OverloadedSegmentTracesQueueDropsAndFiresQueueDropSlo) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(17), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
 
   ASSERT_GT(system.lan()->stats().packets_dropped_queue, 0u);
   // Terminal kQueueDrop stages appear in the trace ring, attributed to the
   // producer's station.
   size_t queue_drop_events = 0;
-  for (const TraceEvent& event : system.tracer()->events()) {
+  for (const TraceEvent& event : system.zone_tracer(0)->events()) {
     if (event.stage == TraceStage::kQueueDrop) {
       EXPECT_EQ(event.stream_id, channel->stream_id);
       ++queue_drop_events;
@@ -548,13 +548,13 @@ TEST(PipelineTest, LossySegmentTracesLinkLossEndToEnd) {
                   .StartPlayer(channel,
                                std::make_unique<MusicLikeGenerator>(18), opts)
                   .ok());
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
 
   ASSERT_GT(system.lan()->stats().deliveries_lost, 0u);
   SimNic* speaker_nic = system.NicOf(speaker);
   ASSERT_NE(speaker_nic, nullptr);
   size_t link_loss_events = 0;
-  for (const TraceEvent& event : system.tracer()->events()) {
+  for (const TraceEvent& event : system.zone_tracer(0)->events()) {
     if (event.stage == TraceStage::kLinkLoss) {
       EXPECT_EQ(event.node, speaker_nic->node_id());
       ++link_loss_events;
@@ -586,7 +586,7 @@ TEST(PipelineTest, SlowDecoderWithLargeBuffersSkips) {
                                  std::make_unique<MusicLikeGenerator>(15),
                                  opts)
                     .ok());
-    system.sim()->RunUntil(Seconds(15));
+    system.RunUntil(Seconds(15));
     return speaker->stats();
   };
   SpeakerStats small_buffers = run(2048);   // ~46 ms chunks.

@@ -160,7 +160,7 @@ TEST(RebroadcasterTest, ControlPacketsKeepComingWithoutAudio) {
   opts.total_frames = 800;  // A tenth of a second, then silence.
   (void)*system.StartPlayer(channel,
                             std::make_unique<SineGenerator>(440.0), opts);
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   // ~2 control packets per second for 10 s, despite ~0.1 s of audio.
   EXPECT_GE(channel->rebroadcaster->stats().control_packets, 18u);
   EXPECT_LE(channel->rebroadcaster->stats().data_packets, 1u);
@@ -175,7 +175,7 @@ TEST(RebroadcasterTest, ConfigChangeMidStreamBumpsControlSeq) {
   first.total_frames = 8000;
   (void)*system.StartPlayer(channel, std::make_unique<SineGenerator>(440.0),
                             first);
-  system.sim()->RunUntil(Seconds(3));
+  system.RunUntil(Seconds(3));
   EXPECT_EQ(channel->rebroadcaster->stats().config_changes, 1u);
   EXPECT_EQ(channel->rebroadcaster->config().sample_rate, 8000);
 
@@ -183,7 +183,7 @@ TEST(RebroadcasterTest, ConfigChangeMidStreamBumpsControlSeq) {
   second.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel,
                             std::make_unique<MusicLikeGenerator>(1), second);
-  system.sim()->RunUntil(Seconds(6));
+  system.RunUntil(Seconds(6));
   EXPECT_EQ(channel->rebroadcaster->stats().config_changes, 2u);
   EXPECT_EQ(channel->rebroadcaster->config().sample_rate, 44100);
   EXPECT_TRUE(channel->rebroadcaster->compressing());
@@ -198,7 +198,7 @@ TEST(RebroadcasterTest, EncodeCpuIsTracked) {
   opts.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(2),
                             opts);
-  system.sim()->RunUntil(Seconds(3));
+  system.RunUntil(Seconds(3));
   EXPECT_GT(channel->rebroadcaster->encode_cpu_seconds(), 0.0);
 }
 

@@ -34,7 +34,7 @@ TEST(RecorderTest, CapturesTheProgramFaithfully) {
   opts.total_frames = 8000 * 3;
   (void)*rig.system.StartPlayer(rig.channel,
                                 std::make_unique<SineGenerator>(440.0), opts);
-  rig.system.sim()->RunUntil(Seconds(6));
+  rig.system.RunUntil(Seconds(6));
 
   ASSERT_TRUE(rig.recorder->ready());
   PcmBuffer take = rig.recorder->Assemble();
@@ -62,7 +62,7 @@ TEST(RecorderTest, LostPacketsBecomeSilenceNotTimeCompression) {
   opts.total_frames = 8000 * 5;
   (void)*rig.system.StartPlayer(rig.channel,
                                 std::make_unique<SineGenerator>(440.0), opts);
-  rig.system.sim()->RunUntil(Seconds(9));
+  rig.system.RunUntil(Seconds(9));
   PcmBuffer take = rig.recorder->Assemble();
   // Gaps were filled: the take's length reflects stream time, not just
   // the surviving packets.
@@ -90,11 +90,11 @@ TEST(RecorderTest, StopKeepsTheTake) {
   opts.chunk_frames = 800;
   (void)*rig.system.StartPlayer(rig.channel,
                                 std::make_unique<SineGenerator>(440.0), opts);
-  rig.system.sim()->RunUntil(Seconds(3));
+  rig.system.RunUntil(Seconds(3));
   uint64_t captured = rig.recorder->stats().chunks_recorded;
   ASSERT_GT(captured, 0u);
   ASSERT_TRUE(rig.recorder->StopRecording().ok());
-  rig.system.sim()->RunUntil(Seconds(6));
+  rig.system.RunUntil(Seconds(6));
   // Nothing further captured after stop; the take is intact.
   EXPECT_EQ(rig.recorder->stats().chunks_recorded, captured);
   EXPECT_GT(rig.recorder->Assemble().frames(), 0);
@@ -108,7 +108,7 @@ TEST(RecorderTest, ExportWavRoundTrip) {
   opts.chunk_frames = 800;
   (void)*rig.system.StartPlayer(rig.channel,
                                 std::make_unique<SineGenerator>(440.0), opts);
-  rig.system.sim()->RunUntil(Seconds(3));
+  rig.system.RunUntil(Seconds(3));
   std::string path = ::testing::TempDir() + "/espk_recorder_test.wav";
   ASSERT_TRUE(rig.recorder->ExportWav(path).ok());
   Result<PcmBuffer> back = ReadWavFile(path);

@@ -21,14 +21,13 @@ namespace {
 
 using Trace = std::vector<std::tuple<int, SimTime, int>>;  // (shard, at, token)
 
-// Runs a token-passing chain: `tokens` tokens start on shard 0 at t=0; a
-// shard holding token k records it and forwards it to the next shard
+// Runs a token-passing chain: token k starts on shard 0 at t = k ns; a
+// shard holding it records it and forwards it to the next shard
 // `hop_delay` later, for `hops` hops total. Returns every shard's record,
 // merged in (shard, at, token) order — any scheduling nondeterminism would
 // change per-shard contents, not merely the merge order.
 Trace RunChain(int shards, int threads, size_t inbox_capacity, int tokens,
-               int hops, SimDuration hop_delay, uint64_t* spills_out,
-               uint64_t* epochs_out) {
+               int hops, SimDuration hop_delay, uint64_t* spills_out) {
   ShardGroup::Options options;
   options.shards = shards;
   options.threads = threads;
@@ -63,13 +62,11 @@ Trace RunChain(int shards, int threads, size_t inbox_capacity, int tokens,
       hop(0, token, hops);
     });
   }
-  group.RunUntilIdle();
+  // The last token's last hop lands at tokens - 1 + hops * hop_delay.
+  group.RunUntil(tokens + hops * hop_delay);
 
   if (spills_out != nullptr) {
     *spills_out = group.ring_spills();
-  }
-  if (epochs_out != nullptr) {
-    *epochs_out = group.epochs_run();
   }
   Trace merged;
   for (const Trace& t : per_shard) {
@@ -94,7 +91,7 @@ TEST(ShardGroupTest, CrossShardPostDeliversAtRequestedTime) {
   group.sim(1)->ScheduleAt(Milliseconds(2), [&] {
     local_now = group.sim(1)->now();
   });
-  group.RunUntilIdle();
+  group.RunUntil(Milliseconds(3));
   EXPECT_EQ(delivered_at, Milliseconds(1) + Microseconds(50));
   EXPECT_EQ(local_now, Milliseconds(2));
   EXPECT_EQ(group.messages_posted(), 1u);
@@ -108,7 +105,7 @@ TEST(ShardGroupTest, SameShardPostIsLocal) {
   // A same-shard post is an ordinary ScheduleAt: no lookahead constraint,
   // no ring traffic.
   group.Post(1, 1, Microseconds(1), [&] { ran = true; });
-  group.RunUntilIdle();
+  group.RunUntil(Milliseconds(1));
   EXPECT_TRUE(ran);
   EXPECT_EQ(group.messages_posted(), 0u);
 }
@@ -128,14 +125,14 @@ TEST(ShardGroupTest, ResultsIdenticalForAnyExecutorWidth) {
   // The determinism claim, directly: same chain, executor width 1 (fully
   // inline) vs 4 (worker threads), bit-identical traces.
   Trace inline_trace =
-      RunChain(4, 1, 64, 16, 12, Microseconds(75), nullptr, nullptr);
+      RunChain(4, 1, 64, 16, 12, Microseconds(75), nullptr);
   Trace threaded_trace =
-      RunChain(4, 4, 64, 16, 12, Microseconds(75), nullptr, nullptr);
+      RunChain(4, 4, 64, 16, 12, Microseconds(75), nullptr);
   ASSERT_FALSE(inline_trace.empty());
   EXPECT_EQ(inline_trace, threaded_trace);
   // And run-to-run stability at the same width.
   Trace threaded_again =
-      RunChain(4, 4, 64, 16, 12, Microseconds(75), nullptr, nullptr);
+      RunChain(4, 4, 64, 16, 12, Microseconds(75), nullptr);
   EXPECT_EQ(threaded_trace, threaded_again);
 }
 
@@ -144,20 +141,21 @@ TEST(ShardGroupTest, RingOverflowSpillsWithoutLossOrReorder) {
   // has to deliver the identical trace a roomy ring produces.
   uint64_t spills = 0;
   Trace tiny_ring =
-      RunChain(2, 1, 2, 64, 6, Microseconds(60), &spills, nullptr);
+      RunChain(2, 1, 2, 64, 6, Microseconds(60), &spills);
   EXPECT_GT(spills, 0u);
   Trace big_ring =
-      RunChain(2, 1, 4096, 64, 6, Microseconds(60), nullptr, nullptr);
+      RunChain(2, 1, 4096, 64, 6, Microseconds(60), nullptr);
   EXPECT_EQ(tiny_ring, big_ring);
   // Threaded + spilling together, still identical.
   Trace tiny_ring_threaded =
-      RunChain(2, 2, 2, 64, 6, Microseconds(60), nullptr, nullptr);
+      RunChain(2, 2, 2, 64, 6, Microseconds(60), nullptr);
   EXPECT_EQ(tiny_ring, tiny_ring_threaded);
 }
 
 TEST(ShardGroupTest, EpochPlannerJumpsIdleStretches) {
-  // Two events a full second apart with 50 us lookahead: a naive epoch loop
-  // would grind ~20000 epochs; the planner must jump the dead air.
+  // Two events a full second apart with 50 us lookahead, and another
+  // second of silence after them: a naive epoch loop would grind ~40000
+  // epochs; the planner must jump the dead air.
   ShardGroup::Options options;
   options.shards = 2;
   options.lookahead = Microseconds(50);
@@ -165,23 +163,9 @@ TEST(ShardGroupTest, EpochPlannerJumpsIdleStretches) {
   int ran = 0;
   group.sim(0)->ScheduleAt(Microseconds(10), [&] { ++ran; });
   group.sim(1)->ScheduleAt(Seconds(1), [&] { ++ran; });
-  group.RunUntilIdle();
+  group.RunUntil(Seconds(2));
   EXPECT_EQ(ran, 2);
   EXPECT_LE(group.epochs_run(), 8u);
-}
-
-TEST(ShardGroupTest, MessagesInFlightKeepRunUntilIdleAlive) {
-  // A post whose target shard has no events of its own: RunUntilIdle must
-  // not stop while the message is still in a ring.
-  ShardGroup::Options options;
-  options.shards = 2;
-  ShardGroup group(options);
-  bool ran = false;
-  group.sim(0)->ScheduleAt(0, [&] {
-    group.Post(0, 1, Milliseconds(3), [&] { ran = true; });
-  });
-  group.RunUntilIdle();
-  EXPECT_TRUE(ran);
 }
 
 // Records every barrier and pins barriers to a fixed grid, mirroring how
@@ -274,7 +258,7 @@ TEST(ShardGroupTest, PerZoneCountersSumToGroupTotals) {
       });
     }
   }
-  group.RunUntilIdle();
+  group.RunUntil(Milliseconds(1));
   uint64_t posted = 0;
   uint64_t spilled = 0;
   uint64_t drained = 0;

@@ -193,64 +193,92 @@ TEST(ShardedDeterminismTest, SubscriptionChurnStaysBitIdentical) {
   ExpectIdentical(classic, sharded);
 }
 
-// The single-loop observability planes USED to refuse zones > 1; they now
-// enable through the ZoneCollector. This is the enablement counterpart of
-// the old refusal test.
+// The observability planes run on the ZoneCollector on every zone count:
+// either plane builds it, the sampler ticks at aligned barriers under
+// RunUntil, and the planes add no "zone-<z>" stations — only an explicit
+// EnableZoneTelemetry() does.
 TEST(ShardedDeterminismTest, ShardedSystemEnablesSingleLoopPlanes) {
-  SystemOptions options;
-  options.sharded.zones = 2;
-  EthernetSpeakerSystem system(options);
-  EXPECT_TRUE(system.is_sharded());
-  EXPECT_EQ(system.zone_collector(), nullptr);  // Built lazily by Enable*.
-  Channel* channel = *system.CreateChannel("music");
-  for (int i = 0; i < 2; ++i) {
-    (void)*system.AddSpeaker(SpeakerOptions{}, channel->group);
-  }
-  SpanPlane* spans = system.EnableSpanTracing();
-  HealthMonitor* health = system.EnableHealthMonitoring();
-  ASSERT_NE(spans, nullptr);
-  ASSERT_NE(health, nullptr);
-  EXPECT_TRUE(health->running());
-  ASSERT_NE(system.zone_collector(), nullptr);
-  EXPECT_EQ(system.EnableSpanTracing(), spans);          // Idempotent.
-  EXPECT_EQ(system.EnableHealthMonitoring(), health);    // Idempotent.
-  EXPECT_NE(system.FindStation("zone-0"), nullptr);
-  EXPECT_NE(system.FindStation("zone-1"), nullptr);
+  for (int zones : {1, 2}) {
+    SCOPED_TRACE("zones=" + std::to_string(zones));
+    SystemOptions options;
+    options.sharded.zones = zones;
+    {
+      EthernetSpeakerSystem spans_only(options);
+      ASSERT_NE(spans_only.EnableSpanTracing(), nullptr);
+      EXPECT_NE(spans_only.zone_collector(), nullptr);
+    }
+    {
+      EthernetSpeakerSystem health_only(options);
+      ASSERT_NE(health_only.EnableHealthMonitoring(), nullptr);
+      EXPECT_NE(health_only.zone_collector(), nullptr);
+    }
 
-  PlayerAppOptions player_options;
-  player_options.config = AudioConfig::CdQuality();
-  EXPECT_TRUE(system
-                  .StartPlayer(channel,
-                               std::make_unique<MusicLikeGenerator>(11),
-                               player_options)
-                  .ok());
-  system.RunUntil(Seconds(1));
+    EthernetSpeakerSystem system(options);
+    EXPECT_EQ(system.zone_collector(), nullptr);  // Built lazily by Enable*.
+    Channel* channel = *system.CreateChannel("music");
+    for (int i = 0; i < 2; ++i) {
+      (void)*system.AddSpeaker(SpeakerOptions{}, channel->group);
+    }
+    SpanPlane* spans = system.EnableSpanTracing();
+    HealthMonitor* health = system.EnableHealthMonitoring();
+    ASSERT_NE(spans, nullptr);
+    ASSERT_NE(health, nullptr);
+    EXPECT_TRUE(health->running());
+    ZoneCollector* collector = system.zone_collector();
+    ASSERT_NE(collector, nullptr);
+    EXPECT_EQ(system.EnableSpanTracing(), spans);        // Idempotent.
+    EXPECT_EQ(system.EnableHealthMonitoring(), health);  // Idempotent.
 
-  ZoneCollector* collector = system.zone_collector();
-  EXPECT_GT(collector->barriers_seen(), 0u);
-  EXPECT_GT(collector->events_merged(), 0u);
-  EXPECT_EQ(collector->merge_lost(), 0u);
-  // The sampler ticked at barriers (10 aligned ticks in 1 s at the default
-  // 100 ms period) and spans assembled over the merged mirror.
-  EXPECT_EQ(health->sampler()->ticks(), 10u);
-  uint64_t appended = 0;
-  for (const SpanRecorder* recorder : spans->recorders()) {
-    appended += recorder->appended();
+    PlayerAppOptions player_options;
+    player_options.config = AudioConfig::CdQuality();
+    EXPECT_TRUE(system
+                    .StartPlayer(channel,
+                                 std::make_unique<MusicLikeGenerator>(11),
+                                 player_options)
+                    .ok());
+    system.RunUntil(Seconds(1));
+
+    EXPECT_GT(collector->barriers_seen(), 0u);
+    EXPECT_GT(collector->events_merged(), 0u);
+    EXPECT_EQ(collector->merge_lost(), 0u);
+    // The sampler ticked at barriers (10 aligned ticks in 1 s at the
+    // default 100 ms period) and spans assembled over the merged mirror.
+    EXPECT_EQ(health->sampler()->ticks(), 10u);
+    uint64_t appended = 0;
+    for (const SpanRecorder* recorder : spans->recorders()) {
+      appended += recorder->appended();
+    }
+    EXPECT_GT(appended, 0u);
+
+    // Runtime stations exist only once asked for, one per zone, and carry
+    // the self-telemetry catalog.
+    EXPECT_EQ(system.FindStation("zone-0"), nullptr);
+    EXPECT_EQ(system.EnableZoneTelemetry(), collector);
+    EXPECT_EQ(system.EnableZoneTelemetry(), collector);  // Idempotent.
+    for (int z = 0; z < zones; ++z) {
+      EXPECT_NE(system.FindStation("zone-" + std::to_string(z)), nullptr);
+    }
+    EXPECT_EQ(system.FindStation("zone-" + std::to_string(zones)), nullptr);
+    health->Stop();  // A stopped monitor skips its barrier ticks.
+    system.RunFor(Milliseconds(100));
+    EXPECT_EQ(health->sampler()->ticks(), 10u);
+    const std::string exposition =
+        system.FindStation("zone-" + std::to_string(zones - 1))
+            ->registry->TextExposition();
+    EXPECT_NE(exposition.find("runtime_epochs"), std::string::npos);
+    EXPECT_NE(exposition.find("runtime_barrier_wait_us"), std::string::npos);
   }
-  EXPECT_GT(appended, 0u);
-  // The runtime stations carry the self-telemetry catalog.
-  const std::string exposition =
-      system.FindStation("zone-1")->registry->TextExposition();
-  EXPECT_NE(exposition.find("runtime_epochs"), std::string::npos);
-  EXPECT_NE(exposition.find("runtime_barrier_wait_us"), std::string::npos);
 }
 
 // Observability bit-identity: the same fleet, with the span plane and
-// health monitor on, produces identical spans, alert logs, postmortem
-// documents, and merged trace streams whether it runs on one shard or
-// four. Speaker 4 decodes slower than realtime (deadline misses) and the
-// segment is squeezed to 1 Mb/s mid-run (queue drops), so alerts actually
-// fire and clear and the flight recorder writes postmortems.
+// health monitor on at their default periods, produces identical spans,
+// alert logs, postmortem documents, and merged trace streams whether it
+// runs on one shard or four. The sampler's 100 ms grid coincides with the
+// kernel's 100 ms audio-block timer, so a tick must read the same settled
+// instant on every zone count. Speaker 4 decodes slower than realtime
+// (deadline misses) and the segment is squeezed to 1 Mb/s mid-run (queue
+// drops), so alerts actually fire and clear and the flight recorder writes
+// postmortems.
 struct ObsResult {
   FleetResult base;
   // (station, appended, dropped) per span recorder, creation order.
@@ -266,7 +294,7 @@ struct ObsResult {
   // (rule, json) per postmortem, capture order.
   std::vector<std::pair<std::string, std::string>> postmortems;
   uint64_t ticks = 0;
-  // The merged mirror ring (classic: the one tracer) with record stamps.
+  // The merged mirror ring with record stamps.
   std::vector<std::tuple<SimTime, SimTime, uint32_t, uint32_t, uint8_t,
                          uint32_t>>
       mirror;
@@ -290,26 +318,12 @@ ObsResult RunObsFleet(int zones, int threads, SimDuration jitter = 0,
     speaker_options.decode_speed_factor = i == kSpeakers - 1 ? 1.25 : 0.05;
     (void)*system.AddSpeaker(speaker_options, channel->group);
   }
-  // Tick at 101 ms and flush at 251 ms — off the kernel's 100 ms
-  // audio-block grid. At a collision instant the classic in-queue task
-  // runs before same-instant events armed after it, while the
-  // barrier-driven sharded tick observes the fully settled instant; both
-  // are deterministic, but they are different conventions. Off-grid
-  // periods never collide within the run, making the comparison exact
-  // (see DESIGN.md, "Sharded observability").
-  SpanPlaneOptions span_options;
-  span_options.flush_period = Milliseconds(251);
-  HealthOptions health_options;
-  health_options.sampler.period = Milliseconds(101);
-  // Spans before health: at coincident flush/sample instants the classic
-  // event queue runs the (earlier-armed) flush first, and the collector
-  // fires driven callbacks in registration order — keep the two aligned.
-  SpanPlane* spans = system.EnableSpanTracing(span_options);
+  SpanPlane* spans = system.EnableSpanTracing();
   EthernetSpeakerSystem::HealthRuleDefaults rules;
   // The barrier-stall rule watches wall-clock waits — not comparable
   // across runs. Everything else stays on.
   rules.runtime_rules = false;
-  HealthMonitor* health = system.EnableHealthMonitoring(health_options, rules);
+  HealthMonitor* health = system.EnableHealthMonitoring(HealthOptions{}, rules);
   EXPECT_NE(spans, nullptr);
   EXPECT_NE(health, nullptr);
   PlayerAppOptions player_options;
@@ -353,8 +367,10 @@ ObsResult RunObsFleet(int zones, int threads, SimDuration jitter = 0,
   }
   std::sort(result.mirror.begin(), result.mirror.end());
   EXPECT_EQ(system.tracer()->dropped(), 0u);
-  if (system.is_sharded()) {
-    EXPECT_EQ(system.zone_collector()->merge_lost(), 0u);
+  const ZoneCollector* collector = system.zone_collector();
+  EXPECT_NE(collector, nullptr) << "the planes build the collector";
+  if (collector != nullptr) {
+    EXPECT_EQ(collector->merge_lost(), 0u);
   }
   return result;
 }
@@ -443,8 +459,9 @@ TEST(ShardedDeterminismTest, ZoneSpeakersMatchStandaloneSpeakers) {
   }
 }
 
-// The group clock is shard 0's, so a one-zone system may be driven through
-// sim() and the system-level calls interchangeably.
+// The group clock is shard 0's, so driving shard 0's loop directly moves
+// the system clock too. Only the system-level calls run epoch barriers,
+// where the observability planes tick; this system has no planes.
 TEST(ShardedDeterminismTest, MixedDrivingKeepsOneClock) {
   EthernetSpeakerSystem system;
   Channel* channel = *system.CreateChannel("music");

@@ -362,7 +362,10 @@ TEST(HistogramExemplarTest, ExpositionCarriesOpenMetricsExemplars) {
 // stream's ~1.4 Mbps — behind a deliberately deep (bufferbloat-style)
 // transmit queue, so queued packets wait seconds for their wire slot
 // (tx-queue wait dominates end-to-end latency) and the queue eventually
-// overflows into tail drops; at t=18s bandwidth is restored.
+// overflows into tail drops; at t=18s bandwidth is restored. This is the
+// latency_budget example's scenario. Runs on one executor thread: the
+// fleet plane's scrape agents run on shard 0 and read every station's
+// registry, whichever zone it lives in.
 struct SpanRunResult {
   size_t retained = 0;
   uint64_t sampler_retained = 0;
@@ -382,9 +385,10 @@ struct SpanRunResult {
   bool console_has_self_metrics = false;
 };
 
-SpanRunResult RunSqueezeScenario() {
+SpanRunResult RunSqueezeScenario(int zones = 1) {
   SystemOptions sys_options;
   sys_options.lan.tx_queue_limit = 512 * 1024;
+  sys_options.sharded.zones = zones;
   EthernetSpeakerSystem system(sys_options);
   RebroadcasterOptions rb;
   rb.codec_override = CodecId::kRaw;
@@ -417,7 +421,7 @@ SpanRunResult RunSqueezeScenario() {
   system.sim()->ScheduleAt(Seconds(18), [&system] {
     system.lan()->set_bandwidth_bps(100e6);
   });
-  system.sim()->RunUntil(Seconds(26));
+  system.RunUntil(Seconds(26));
   spans->Drain();
 
   SpanRunResult result;
@@ -532,9 +536,7 @@ TEST(SpanEndToEndTest, SqueezeExemplarsResolveToRetainedTxQueueTrees) {
   EXPECT_NE(run.perfetto.find("\"ph\": \"f\""), std::string::npos);
 }
 
-TEST(SpanEndToEndTest, ReportsAreBitIdenticalAcrossRuns) {
-  SpanRunResult a = RunSqueezeScenario();
-  SpanRunResult b = RunSqueezeScenario();
+void ExpectSameReports(const SpanRunResult& a, const SpanRunResult& b) {
   EXPECT_EQ(a.report, b.report);
   EXPECT_EQ(a.perfetto, b.perfetto);
   EXPECT_EQ(a.retained, b.retained);
@@ -542,6 +544,16 @@ TEST(SpanEndToEndTest, ReportsAreBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.sampler_discarded, b.sampler_discarded);
   EXPECT_EQ(a.ingested, b.ingested);
   EXPECT_EQ(a.squeeze_dominant, b.squeeze_dominant);
+}
+
+// Run to run, and across zone counts: the planes observe the same merged
+// stream and scrape the same stations however the fleet is partitioned.
+TEST(SpanEndToEndTest, ReportsAreBitIdenticalAcrossRuns) {
+  SpanRunResult a = RunSqueezeScenario();
+  SpanRunResult b = RunSqueezeScenario();
+  ExpectSameReports(a, b);
+  SpanRunResult four_zones = RunSqueezeScenario(/*zones=*/4);
+  ExpectSameReports(a, four_zones);
 }
 
 // ------------------------------------------------------- Sharded runtime --
@@ -578,7 +590,7 @@ TEST(SpanEndToEndTest, ShardedPlaneAssemblesOverMergedMirror) {
   const SpanAssembler* assembler = spans->assembler();
   EXPECT_GT(assembler->ingested(), 0u);
   ASSERT_GT(assembler->RetainedTraces().size(), 0u);
-  // Trees cross stations exactly as in a classic run: a producer span plus
+  // Trees cross stations exactly as in a one-zone run: a producer span plus
   // receiver spans from speakers homed on different zones.
   bool cross_station = false;
   for (const SpanTree* tree : assembler->RetainedTraces()) {

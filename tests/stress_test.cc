@@ -31,7 +31,7 @@ TEST(StressTest, LongRunUnderLossAndJitterStaysHealthy) {
   opts.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(1),
                             opts);
-  system.sim()->RunUntil(Seconds(120));
+  system.RunUntil(Seconds(120));
 
   const SpeakerStats& stats = speaker->stats();
   // ~10.7 packets/s for 120 s, ~5% lost in the network.
@@ -58,7 +58,7 @@ TEST(StressTest, HealthMonitoringStaysQuietOverLongHealthyRun) {
   opts.config = AudioConfig::CdQuality();
   (void)*system.StartPlayer(channel, std::make_unique<MusicLikeGenerator>(5),
                             opts);
-  system.sim()->RunUntil(Seconds(60));
+  system.RunUntil(Seconds(60));
 
   EXPECT_EQ(health->engine()->fired_total(), 0u) << health->StatusText();
   EXPECT_EQ(health->engine()->resolved_total(), 0u);
@@ -85,7 +85,7 @@ TEST(StressTest, SimulationIsDeterministic) {
     opts.config = AudioConfig::CdQuality();
     (void)*system.StartPlayer(channel,
                               std::make_unique<MusicLikeGenerator>(5), opts);
-    system.sim()->RunUntil(Seconds(10));
+    system.RunUntil(Seconds(10));
     struct Outcome {
       uint64_t played;
       uint64_t late;
@@ -123,7 +123,7 @@ TEST(StressTest, SixteenChannelsSixteenSpeakers) {
     so.decode_speed_factor = 0.1;
     speakers.push_back(*system.AddSpeaker(so, channel->group));
   }
-  system.sim()->RunUntil(Seconds(10));
+  system.RunUntil(Seconds(10));
   for (EthernetSpeaker* speaker : speakers) {
     EXPECT_TRUE(speaker->ready());
     EXPECT_GT(speaker->stats().chunks_played, 10u);
@@ -290,7 +290,7 @@ TEST(StressTest, RapidChannelHoppingStaysConsistent) {
   EthernetSpeaker* speaker = *system.AddSpeaker(so, channels[0]->group);
   Prng prng(1234);
   for (int hop = 0; hop < 40; ++hop) {
-    system.sim()->RunFor(Milliseconds(500));
+    system.RunFor(Milliseconds(500));
     Channel* target = channels[prng.NextBelow(4)];
     ASSERT_TRUE(speaker->Tune(target->group).ok());
   }
@@ -298,7 +298,7 @@ TEST(StressTest, RapidChannelHoppingStaysConsistent) {
   // (a chunk queued for the previous channel must not play into the new
   // one), so sustained playback only accumulates once the hopping stops:
   // give the final channel a long settle window at ~2 data packets/sec.
-  system.sim()->RunFor(Seconds(8));
+  system.RunFor(Seconds(8));
   EXPECT_TRUE(speaker->ready());
   EXPECT_GT(speaker->stats().chunks_played, 10u);
   EXPECT_EQ(speaker->stats().bad_packets, 0u);
