@@ -5,7 +5,7 @@
 // Sweeps stream bitrate and reports, per codec: sender CPU per audio
 // second, bandwidth saved, and the pipeline latency added by compression
 // (packet accumulation + encode). The crossover justifies the
-// rebroadcaster's compress_threshold_bps default.
+// rebroadcaster's fixed 200 kbps compression threshold.
 #include "bench/bench_util.h"
 #include "src/audio/generator.h"
 #include "src/audio/sample_convert.h"

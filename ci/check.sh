@@ -37,6 +37,12 @@
 #   8. health_monitor golden-output check: the health plane's alert log,
 #      traps, and flight-recorder postmortems (rules, byte counts, the
 #      first document's head) must be byte-identical across runs.
+#   9. Benchmark self-check: perfbench/selfcheck.py builds the repository
+#      benchmark (a separate Release CMake project over src/, in
+#      .bench_build/) and runs every BENCHMARK.json workload at a tiny size,
+#      untraced and traced. The benchmark compiles src/ through its public
+#      API, which no ctest target covers, so a change that breaks an API the
+#      benchmark uses fails here rather than only in the benchmark run.
 #
 # Usage: ci/check.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -44,14 +50,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "==> [1/8] Debug + ASan/UBSan: configure, build, ctest"
+echo "==> [1/9] Debug + ASan/UBSan: configure, build, ctest"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DESPK_SANITIZE="address;undefined"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "==> [2/8] TSan: sharded runtime suite under ThreadSanitizer"
+echo "==> [2/9] TSan: sharded runtime suite under ThreadSanitizer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESPK_SANITIZE=thread
@@ -61,12 +67,12 @@ cmake --build build-tsan -j "$JOBS" --target \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'spsc_queue_test|timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test'
 
-echo "==> [3/8] Release: configure, build, bench smoke gate"
+echo "==> [3/9] Release: configure, build, bench smoke gate"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "==> [4/8] Release example smoke run"
+echo "==> [4/9] Release example smoke run"
 EXAMPLES_DIR="$(pwd)/build-release/examples"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
@@ -77,32 +83,35 @@ for example in quickstart building_pa internet_radio netboot_demo \
   (cd "$SCRATCH" && "$EXAMPLES_DIR/$example" > "$example.out")
 done
 
-echo "==> [5/8] fleet_dashboard golden-output check"
+echo "==> [5/9] fleet_dashboard golden-output check"
 if ! diff -u ci/golden/fleet_dashboard.out "$SCRATCH/fleet_dashboard.out"; then
   echo "FAIL: fleet_dashboard output drifted from ci/golden/fleet_dashboard.out"
   exit 1
 fi
 echo "--> fleet_dashboard output matches golden"
 
-echo "==> [6/8] latency_budget golden-output check"
+echo "==> [6/9] latency_budget golden-output check"
 if ! diff -u ci/golden/latency_budget.out "$SCRATCH/latency_budget.out"; then
   echo "FAIL: latency_budget output drifted from ci/golden/latency_budget.out"
   exit 1
 fi
 echo "--> latency_budget output matches golden"
 
-echo "==> [7/8] subscriptions golden-output check"
+echo "==> [7/9] subscriptions golden-output check"
 if ! diff -u ci/golden/subscriptions.out "$SCRATCH/subscriptions.out"; then
   echo "FAIL: subscriptions output drifted from ci/golden/subscriptions.out"
   exit 1
 fi
 echo "--> subscriptions output matches golden"
 
-echo "==> [8/8] health_monitor golden-output check"
+echo "==> [8/9] health_monitor golden-output check"
 if ! diff -u ci/golden/health_monitor.out "$SCRATCH/health_monitor.out"; then
   echo "FAIL: health_monitor output drifted from ci/golden/health_monitor.out"
   exit 1
 fi
 echo "--> health_monitor output matches golden"
+
+echo "==> [9/9] Benchmark self-check: build perfbench, run every workload tiny"
+python3 perfbench/selfcheck.py
 
 echo "==> ci/check.sh: all stages passed"

@@ -15,9 +15,6 @@
 // owner's unref synchronizes-with the delete). Marking must happen while
 // the buffer is still touched by only its producer — the flag itself is
 // published by the same barrier/ring edge that publishes the payload.
-// The atomic variant is compile-time selected by ESPK_BUFFER_ATOMIC_REFCOUNT
-// (default on; define it to 0 for a strictly single-threaded build where
-// MarkCrossShard compiles to nothing).
 //
 // Debug builds guard the non-atomic path: the first shard whose event loop
 // bumps a rep's refcount becomes its recorded owner
@@ -45,10 +42,6 @@
 #include <utility>
 
 #include "src/base/bytes.h"
-
-#ifndef ESPK_BUFFER_ATOMIC_REFCOUNT
-#define ESPK_BUFFER_ATOMIC_REFCOUNT 1
-#endif
 
 namespace espk {
 
@@ -120,46 +113,34 @@ class Buffer {
     if (rep_ == nullptr) {
       return 0;
     }
-#if ESPK_BUFFER_ATOMIC_REFCOUNT
     if (rep_->cross_shard) {
       return std::atomic_ref<int>(rep_->refcount)
           .load(std::memory_order_relaxed);
     }
-#endif
     return rep_->refcount;
   }
 
   // Flips this allocation's refcount to the atomic variant. Must be called
   // before any slice of it is handed to another shard, while the producer
   // still has exclusive (single-shard) access. Idempotent; no-op on a null
-  // buffer and when ESPK_BUFFER_ATOMIC_REFCOUNT is 0.
+  // buffer.
   void MarkCrossShard() {
-#if ESPK_BUFFER_ATOMIC_REFCOUNT
     if (rep_ != nullptr) {
       rep_->cross_shard = true;
     }
-#endif
   }
-  bool cross_shard() const {
-#if ESPK_BUFFER_ATOMIC_REFCOUNT
-    return rep_ != nullptr && rep_->cross_shard;
-#else
-    return false;
-#endif
-  }
+  bool cross_shard() const { return rep_ != nullptr && rep_->cross_shard; }
 
  private:
   struct Rep {
     explicit Rep(Bytes&& s) : storage(std::move(s)) {}
     Bytes storage;
     int refcount = 1;  // Plain on the single-shard path; see cross_shard.
-#if ESPK_BUFFER_ATOMIC_REFCOUNT
     // Set once by MarkCrossShard before the buffer crosses; every refcount
     // op afterwards goes through std::atomic_ref. Reading it from consumer
     // shards is race-free because the handoff that carried the slice also
     // published the flag.
     bool cross_shard = false;
-#endif
 #ifndef NDEBUG
     uint32_t owner = 0;  // First shard to bump the count; 0 = unclaimed.
 #endif
@@ -192,13 +173,11 @@ class Buffer {
       return;
     }
     ++buffer_counters().shares;
-#if ESPK_BUFFER_ATOMIC_REFCOUNT
     if (rep_->cross_shard) {
       std::atomic_ref<int>(rep_->refcount)
           .fetch_add(1, std::memory_order_relaxed);
       return;
     }
-#endif
     CheckOwner(rep_);
     ++rep_->refcount;
   }
@@ -206,7 +185,6 @@ class Buffer {
     if (rep_ == nullptr) {
       return;
     }
-#if ESPK_BUFFER_ATOMIC_REFCOUNT
     if (rep_->cross_shard) {
       // acq_rel: the winner of the race to zero must observe every other
       // shard's final writes before running the destructor.
@@ -216,7 +194,6 @@ class Buffer {
       }
       return;
     }
-#endif
     CheckOwner(rep_);
     if (--rep_->refcount == 0) {
       delete rep_;

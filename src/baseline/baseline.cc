@@ -6,6 +6,12 @@
 #include "src/base/logging.h"
 
 namespace espk {
+namespace {
+
+// The UnsyncReceiver's fixed local buffering before playback starts.
+constexpr SimDuration kBufferDelay = Milliseconds(200);
+
+}  // namespace
 
 UnicastStreamServer::UnicastStreamServer(
     Simulation* sim, Transport* nic, const AudioConfig& config,
@@ -65,9 +71,8 @@ void UnicastStreamServer::Tick(SimTime now) {
   }
 }
 
-UnsyncReceiver::UnsyncReceiver(Simulation* sim, Transport* nic,
-                               const UnsyncReceiverOptions& options)
-    : sim_(sim), nic_(nic), options_(options) {
+UnsyncReceiver::UnsyncReceiver(Simulation* sim, Transport* nic)
+    : sim_(sim), nic_(nic) {
   nic_->SetReceiveHandler([this](const Datagram& d) { OnDatagram(d); });
 }
 
@@ -103,12 +108,12 @@ void UnsyncReceiver::OnDatagram(const Datagram& datagram) {
   if (!samples.ok()) {
     return;
   }
-  // Arrival-clocked playback: start `buffer_delay` after a chunk arrives,
+  // Arrival-clocked playback: start kBufferDelay after a chunk arrives,
   // or back-to-back with the previous chunk, whichever is later. Producer
   // timestamps are ignored entirely — this is what keeps two such radios
   // from ever agreeing with each other.
   SimTime now = sim_->now();
-  SimTime start = std::max(now + options_.buffer_delay, next_play_time_);
+  SimTime start = std::max(now + kBufferDelay, next_play_time_);
   SimDuration duration =
       FramesToDuration(data->frame_count, config_->sample_rate);
   next_play_time_ = start + duration;

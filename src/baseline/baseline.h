@@ -64,18 +64,11 @@ class UnicastStreamServer {
   PeriodicTask task_;
 };
 
-struct UnsyncReceiverOptions {
-  std::string name = "radio";
-  // Fixed local buffering before playback starts.
-  SimDuration buffer_delay = Milliseconds(200);
-};
-
-// Plays data packets in arrival order on a self-paced local timeline; no
-// producer clock, no deadline discard.
+// Plays data packets in arrival order on a self-paced local timeline, after
+// a fixed 200 ms of local buffering; no producer clock, no deadline discard.
 class UnsyncReceiver {
  public:
-  UnsyncReceiver(Simulation* sim, Transport* nic,
-                 const UnsyncReceiverOptions& options);
+  UnsyncReceiver(Simulation* sim, Transport* nic);
 
   // Tunes to a multicast channel (it understands the ES wire format; it
   // just ignores the synchronization machinery).
@@ -90,7 +83,6 @@ class UnsyncReceiver {
 
   Simulation* sim_;
   Transport* nic_;
-  UnsyncReceiverOptions options_;
   std::optional<AudioConfig> config_;
   std::unique_ptr<AudioDecoder> decoder_;
   std::unique_ptr<OutputRecorder> recorder_;

@@ -8,31 +8,37 @@
 namespace espk {
 namespace {
 
+// How often the ZoneCollector flushes the span plane: idle traces are
+// finalized and tail-sampling decisions run.
+constexpr SimDuration kSpanFlushPeriod = Milliseconds(250);
+
+// The default SLO rules' fixed parameters: every rate and aggregate is
+// taken over kRuleWindow, a rule fires after kRuleFor in breach and clears
+// after kRuleClear clean; the rest are thresholds.
+constexpr SimDuration kRuleWindow = Seconds(1);
+constexpr SimDuration kRuleFor = Milliseconds(200);
+constexpr SimDuration kRuleClear = Milliseconds(300);
+constexpr double kSyncDriftP99Ms = 15.0;      // speaker.<i>.sync_drift
+constexpr double kRingSpillRatePerSec = 1.0;  // runtime.ring_spill_rate
+constexpr double kBarrierStallMs = 250.0;     // runtime.barrier_stall
+
 ShardGroup::Options MakeShardOptions(const SystemOptions& options) {
   ShardGroup::Options shard_options;
   shard_options.shards = std::max(1, options.sharded.zones);
-  shard_options.lookahead = options.sharded.lookahead > 0
-                                ? options.sharded.lookahead
-                                : options.lan.base_delay;
+  shard_options.lookahead = options.lan.base_delay;
   shard_options.threads = options.sharded.threads;
-  shard_options.pin_threads = options.sharded.pin_threads;
-  shard_options.inbox_capacity = options.sharded.inbox_capacity;
   return shard_options;
 }
 
 }  // namespace
 
 EthernetSpeakerSystem::EthernetSpeakerSystem(const SystemOptions& options)
-    : options_(options),
-      shards_(MakeShardOptions(options)),
+    : shards_(MakeShardOptions(options)),
       sim_(*shards_.sim(0)),
       metrics_(&sim_),
       tracer_(&sim_),
       kernel_(&sim_, &metrics_),
       lan_(&sim_, options.lan) {
-  if (options_.background_daemon_rate > 0.0) {
-    kernel_.StartBackgroundDaemons(options_.background_daemon_rate);
-  }
   lan_.EnableSharding(&shards_, /*home_shard=*/0);
   // The zone tracers hold the ground truth (tracer_ is a mirror the
   // ZoneCollector feeds at barriers), so trace.* sums over them.
@@ -194,8 +200,9 @@ Result<Channel*> EthernetSpeakerSystem::CreateChannel(
       "Total host CPU spent inside the codec");
 
   channels_.push_back(std::move(channel));
+  channel_registries_.push_back(station);
   if (spans_ != nullptr) {
-    AttachChannelSpans(channels_.back().get());
+    AttachChannelSpans(channels_.size() - 1);
   }
   return channels_.back().get();
 }
@@ -229,13 +236,10 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
     SpeakerOptions options) {
   auto nic = lan_.CreateNic();
   const size_t index = speakers_.size();
-  // Zone placement: block or round-robin per the sharded config. The
-  // speaker's event loop, and the tracer its pipeline records into, are the
-  // zone's — zone 0 shares shard 0 (and its tracer) with the producers.
-  const int spz = options_.sharded.speakers_per_zone;
-  const int zone =
-      (spz > 0 ? static_cast<int>(index) / spz : static_cast<int>(index)) %
-      zones();
+  // Zone placement is round-robin. The speaker's event loop, and the
+  // tracer its pipeline records into, are the zone's — zone 0 shares shard
+  // 0 (and its tracer) with the producers.
+  const int zone = static_cast<int>(index) % zones();
   options.tracer = zone_tracer(zone);
   // Same per-station ownership as channels: the speaker's metrics live on
   // station "es-<i>" and nowhere else.
@@ -284,27 +288,26 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
       "Concurrently subscribed streams");
   speaker_nics_.push_back(std::move(nic));
   speakers_.push_back(std::move(speaker));
+  speaker_registries_.push_back(station);
   if (spans_ != nullptr) {
     AttachSpeakerSpans(speakers_.size() - 1);
   }
   return speakers_.back().get();
 }
 
-void EthernetSpeakerSystem::AttachChannelSpans(Channel* channel) {
-  const std::string name = "rb-" + std::to_string(channel->stream_id);
-  Station* station = FindStation(name);
+void EthernetSpeakerSystem::AttachChannelSpans(size_t index) {
+  const Channel& channel = *channels_[index];
   SpanRecorder* recorder = spans_->AddStation(
-      name, channel->producer_nic->node_id(),
-      station != nullptr ? station->registry.get() : nullptr);
-  spans_->BindStream(channel->stream_id, channel->producer_nic->node_id(),
+      "rb-" + std::to_string(channel.stream_id),
+      channel.producer_nic->node_id(), channel_registries_[index]);
+  spans_->BindStream(channel.stream_id, channel.producer_nic->node_id(),
                      recorder);
 }
 
 void EthernetSpeakerSystem::AttachSpeakerSpans(size_t index) {
-  const std::string name = "es-" + std::to_string(index);
-  Station* station = FindStation(name);
-  spans_->AddStation(name, speaker_nics_[index]->node_id(),
-                     station != nullptr ? station->registry.get() : nullptr);
+  spans_->AddStation("es-" + std::to_string(index),
+                     speaker_nics_[index]->node_id(),
+                     speaker_registries_[index]);
 }
 
 ZoneCollector* EthernetSpeakerSystem::BuildZoneCollector() {
@@ -341,13 +344,12 @@ SpanPlane* EthernetSpeakerSystem::EnableSpanTracing(
   // exporter never runs against a half-merged mirror.
   spans_ = std::make_unique<SpanPlane>(&sim_, &tracer_, &metrics_, options);
   SpanPlane* plane = spans_.get();
-  BuildZoneCollector()->Drive(options.flush_period,
-                              [plane] { plane->Flush(); });
+  BuildZoneCollector()->Drive(kSpanFlushPeriod, [plane] { plane->Flush(); });
   for (auto& tracer : zone_tracers_) {
     tracer->set_span_stages(true);
   }
-  for (auto& channel : channels_) {
-    AttachChannelSpans(channel.get());
+  for (size_t i = 0; i < channels_.size(); ++i) {
+    AttachChannelSpans(i);
   }
   for (size_t i = 0; i < speakers_.size(); ++i) {
     AttachSpeakerSpans(i);
@@ -376,15 +378,14 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
        .aggregate = AlertAggregate::kRatePerSec,
        .comparison = AlertComparison::kAbove,
        .threshold = rules.queue_drop_rate_per_sec,
-       .window = rules.window,
-       .for_duration = rules.for_duration,
-       .clear_duration = rules.clear_duration,
+       .window = kRuleWindow,
+       .for_duration = kRuleFor,
+       .clear_duration = kRuleClear,
        .help = "Segment transmit queue is tail-dropping packets"});
 
   for (size_t i = 0; i < speakers_.size(); ++i) {
     const std::string prefix = "speaker." + std::to_string(i);
-    const MetricsRegistry& station =
-        *FindStation("es-" + std::to_string(i))->registry;
+    const MetricsRegistry& station = *speaker_registries_[i];
     health_->Watch(prefix + ".late_drops", station.Find("speaker.late_drops"));
     health_->AddRule(
         {.name = prefix + ".deadline_miss_rate",
@@ -392,9 +393,9 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .aggregate = AlertAggregate::kRatePerSec,
          .comparison = AlertComparison::kAbove,
          .threshold = rules.deadline_miss_rate_per_sec,
-         .window = rules.window,
-         .for_duration = rules.for_duration,
-         .clear_duration = rules.clear_duration,
+         .window = kRuleWindow,
+         .for_duration = kRuleFor,
+         .clear_duration = kRuleClear,
          .help = "Chunks are arriving past deadline + epsilon and being "
                  "discarded"});
     health_->Watch(prefix + ".queued_pcm_bytes",
@@ -405,9 +406,9 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .aggregate = AlertAggregate::kMax,
          .comparison = AlertComparison::kBelow,
          .threshold = rules.jitter_low_watermark_bytes,
-         .window = rules.window,
-         .for_duration = rules.for_duration,
-         .clear_duration = rules.clear_duration,
+         .window = kRuleWindow,
+         .for_duration = kRuleFor,
+         .clear_duration = kRuleClear,
          // The buffer legitimately starts empty; arm only once the stream
          // has filled it.
          .requires_arming = true,
@@ -419,10 +420,10 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .series = prefix + ".lateness_ms.p99",
          .aggregate = AlertAggregate::kLatest,
          .comparison = AlertComparison::kAbove,
-         .threshold = rules.sync_drift_p99_ms,
-         .window = rules.window,
-         .for_duration = rules.for_duration,
-         .clear_duration = rules.clear_duration,
+         .threshold = kSyncDriftP99Ms,
+         .window = kRuleWindow,
+         .for_duration = kRuleFor,
+         .clear_duration = kRuleClear,
          .help = "p99 decode lateness is approaching the sync epsilon"});
     health_->Watch(prefix + ".silence_ms", station.Find("speaker.silence_ms"));
     health_->AddRule(
@@ -431,9 +432,9 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .aggregate = AlertAggregate::kRatePerSec,
          .comparison = AlertComparison::kAbove,
          .threshold = rules.silence_ms_per_sec,
-         .window = rules.window,
-         .for_duration = rules.for_duration,
-         .clear_duration = rules.clear_duration,
+         .window = kRuleWindow,
+         .for_duration = kRuleFor,
+         .clear_duration = kRuleClear,
          .help = "Audible dead air is being inserted between chunks"});
   }
 
@@ -450,12 +451,13 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .series = "runtime.ring_spills",
          .aggregate = AlertAggregate::kRatePerSec,
          .comparison = AlertComparison::kAbove,
-         .threshold = rules.ring_spill_rate_per_sec,
-         .window = rules.window,
-         .for_duration = rules.for_duration,
-         .clear_duration = rules.clear_duration,
+         .threshold = kRingSpillRatePerSec,
+         .window = kRuleWindow,
+         .for_duration = kRuleFor,
+         .clear_duration = kRuleClear,
          .help = "Cross-shard inboxes are overflowing into the spill vector "
-                 "(raise sharded.inbox_capacity)"});
+                 "(a zone receives more messages per epoch than a ring "
+                 "holds)"});
     ZoneCollector* zc = BuildZoneCollector();
     health_->WatchReader("runtime.barrier_wait_ms", [zc] {
       return zc->last_barrier_wait_ms();
@@ -465,10 +467,10 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
          .series = "runtime.barrier_wait_ms",
          .aggregate = AlertAggregate::kMax,
          .comparison = AlertComparison::kAbove,
-         .threshold = rules.barrier_stall_ms,
-         .window = rules.window,
-         .for_duration = rules.for_duration,
-         .clear_duration = rules.clear_duration,
+         .threshold = kBarrierStallMs,
+         .window = kRuleWindow,
+         .for_duration = kRuleFor,
+         .clear_duration = kRuleClear,
          .help = "A zone is waiting on the epoch barrier for wall-clock "
                  "milliseconds (load imbalance or an overloaded host)"});
   }

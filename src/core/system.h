@@ -39,22 +39,16 @@ namespace espk {
 // the observability planes tick only at epoch barriers. Results are
 // deterministic and bit-identical whether zones = 1 or N and whether
 // threads = 1 or many — tests/sharded_determinism_test.cc pins it.
+// Speaker i lands in zone i % zones. The epoch lookahead is the LAN's
+// base_delay: the minimum delivery latency, which is the largest value
+// that is still conservative.
 struct ShardedConfig {
   int zones = 1;
   int threads = 1;  // Executor width incl. the caller; clamped to zones.
-  bool pin_threads = false;
-  // Epoch lookahead; 0 means "use lan.base_delay" (the minimum delivery
-  // latency, which is the largest value that is still conservative).
-  SimDuration lookahead = 0;
-  size_t inbox_capacity = 1024;  // Per cross-shard link SPSC ring slots.
-  // Consecutive speakers per zone; 0 = round-robin speakers across zones.
-  int speakers_per_zone = 0;
 };
 
 struct SystemOptions {
   SegmentConfig lan;
-  // Unloaded-machine context-switch noise (Figure 5 baseline); 0 = off.
-  double background_daemon_rate = 0.0;
   ShardedConfig sharded;
 };
 
@@ -133,25 +127,22 @@ class EthernetSpeakerSystem {
   Station* FindStation(const std::string& name);
 
   // Thresholds for the default SLO rule set EnableHealthMonitoring
-  // installs. The rates are per second over `window`.
+  // installs. Every rule aggregates over a 1 s window, fires after 200 ms
+  // in breach and clears after 300 ms clean; the rates are per second. The
+  // p99 sync drift (15 ms) and runtime thresholds are fixed.
   struct HealthRuleDefaults {
     double queue_drop_rate_per_sec = 5.0;     // lan.queue_drop_rate
     double deadline_miss_rate_per_sec = 5.0;  // speaker.<i>.deadline_miss_rate
     double jitter_low_watermark_bytes = 1.0;  // speaker.<i>.jitter_low_watermark
-    double sync_drift_p99_ms = 15.0;          // speaker.<i>.sync_drift
     double silence_ms_per_sec = 50.0;         // speaker.<i>.silence_rate
-    SimDuration window = Seconds(1);
-    SimDuration for_duration = Milliseconds(200);
-    SimDuration clear_duration = Milliseconds(300);
-    // Sharded-runtime self-telemetry rules, installed only with more than
-    // one zone (ring spills and barrier waits only exist there). The
-    // ring-spill rule watches a deterministic counter; the barrier-stall
-    // rule watches *wall-clock* barrier waits, which vary run to run — set
+    // Sharded-runtime self-telemetry rules (runtime.ring_spill_rate,
+    // runtime.barrier_stall), installed only with more than one zone (ring
+    // spills and barrier waits only exist there). The ring-spill rule
+    // watches a deterministic counter; the barrier-stall rule watches
+    // *wall-clock* barrier waits, which vary run to run — set
     // runtime_rules = false when comparing alert logs across runs (the
     // bit-identity tests do).
     bool runtime_rules = true;
-    double ring_spill_rate_per_sec = 1.0;   // runtime.ring_spill_rate
-    double barrier_stall_ms = 250.0;        // runtime.barrier_stall
   };
 
   // Builds the health layer (sampler + SLO alert engine + flight recorder)
@@ -170,7 +161,7 @@ class EthernetSpeakerSystem {
   // mirror, creates a span buffer per station added so far (stations added
   // later are attached automatically), and routes each channel's producer-
   // side spans to its "rb-<sid>" station; the ZoneCollector flushes the
-  // plane at the epoch barrier on every flush period. Every zone tracer
+  // plane at the epoch barrier every 250 ms of sim time. Every zone tracer
   // starts recording the extra span stages (wire-tx, decode-start) and
   // exemplar-carrying lateness observations from this call on. Call once;
   // idempotent.
@@ -262,7 +253,7 @@ class EthernetSpeakerSystem {
 
  private:
   void RegisterLanMetrics();
-  void AttachChannelSpans(Channel* channel);
+  void AttachChannelSpans(size_t index);
   void AttachSpeakerSpans(size_t index);
   // Builds the ZoneCollector on first use.
   ZoneCollector* BuildZoneCollector();
@@ -270,7 +261,6 @@ class EthernetSpeakerSystem {
   // Creates the station and returns its registry (owned by stations_).
   MetricsRegistry* AddStation(const std::string& name);
 
-  SystemOptions options_;
   // The shard group owns every zone's Simulation; sim_ aliases shard 0's so
   // all producer-side members (and their &sim_ initializers) are untouched
   // by sharding. Declared first: everything below lives on some shard.
@@ -292,6 +282,10 @@ class EthernetSpeakerSystem {
   // into; declared before the component vectors so every instrumented
   // component unwinds first.
   std::vector<std::unique_ptr<Station>> stations_;
+  // The station registries of channels_[i] ("rb-<sid>") and of speaker i
+  // ("es-<i>"), so the planes reach them without a scan of stations_.
+  std::vector<MetricsRegistry*> channel_registries_;
+  std::vector<MetricsRegistry*> speaker_registries_;
   // Per-zone tracers (every zone, including zone 0, records into its own;
   // tracer_ is the barrier-merged mirror), and the per-zone batch sinks
   // every speaker receives through. Declared before the speakers: a

@@ -6,31 +6,40 @@
 #include "src/obs/federation/sample.h"
 
 namespace espk {
+namespace {
+
+constexpr SimDuration kScrapePeriod = Seconds(1);
+constexpr SimDuration kAttemptTimeout = Milliseconds(250);
+constexpr int kMaxAttempts = 3;  // 1 try + 2 retries.
+constexpr SimDuration kRetryBackoff = Milliseconds(100);  // Doubles per retry.
+// A station is marked stale after this many consecutive cycles in which
+// every attempt timed out; the next successful scrape clears it.
+constexpr int kStaleAfterMisses = 2;
+
+}  // namespace
 
 FleetCollector::FleetCollector(Simulation* sim, Transport* nic,
-                               MetricsRegistry* self_registry,
-                               const CollectorOptions& options)
+                               MetricsRegistry* self_registry)
     : sim_(sim),
       nic_(nic),
-      options_(options),
-      store_(options.series_capacity) {
+      attempts_(self_registry->GetCounter(
+          "scrape.attempts", "scrape requests sent (including retries)")),
+      successes_(self_registry->GetCounter(
+          "scrape.success", "scrapes fully reassembled and ingested")),
+      timeouts_(self_registry->GetCounter(
+          "scrape.timeouts",
+          "scrape attempts that hit the per-attempt timeout")),
+      retries_(self_registry->GetCounter(
+          "scrape.retries", "re-attempts after a timeout, with backoff")),
+      misses_(self_registry->GetCounter(
+          "scrape.misses",
+          "cycles in which every attempt for a target failed")),
+      stale_transitions_(self_registry->GetCounter(
+          "scrape.stale_transitions",
+          "targets marked stale after missed cycles")),
+      chunks_received_(self_registry->GetCounter(
+          "scrape.chunks_received", "scrape response fragments received")) {
   nic_->SetReceiveHandler([this](const Datagram& d) { OnDatagram(d); });
-  if (self_registry != nullptr) {
-    attempts_metric_ = self_registry->GetCounter(
-        "scrape.attempts", "scrape requests sent (including retries)");
-    successes_metric_ = self_registry->GetCounter(
-        "scrape.success", "scrapes fully reassembled and ingested");
-    timeouts_metric_ = self_registry->GetCounter(
-        "scrape.timeouts", "scrape attempts that hit the per-attempt timeout");
-    retries_metric_ = self_registry->GetCounter(
-        "scrape.retries", "re-attempts after a timeout, with backoff");
-    misses_metric_ = self_registry->GetCounter(
-        "scrape.misses", "cycles in which every attempt for a target failed");
-    stale_metric_ = self_registry->GetCounter(
-        "scrape.stale_transitions", "targets marked stale after missed cycles");
-    chunks_metric_ = self_registry->GetCounter(
-        "scrape.chunks_received", "scrape response fragments received");
-  }
 }
 
 FleetCollector::~FleetCollector() { Stop(); }
@@ -50,7 +59,7 @@ void FleetCollector::AddLocalSource(std::string station,
 void FleetCollector::Start() {
   if (task_ == nullptr) {
     task_ = std::make_unique<PeriodicTask>(
-        sim_, options_.period, [this](SimTime now) { OnTick(now); });
+        sim_, kScrapePeriod, [this](SimTime now) { OnTick(now); });
   }
   task_->Start(/*fire_immediately=*/true);
 }
@@ -66,13 +75,6 @@ void FleetCollector::Stop() {
       by_request_.erase(target->request_id);
       target->awaiting = false;
     }
-  }
-}
-
-void FleetCollector::Bump(Counter* counter, uint64_t& shadow, uint64_t n) {
-  shadow += n;
-  if (counter != nullptr) {
-    counter->Increment(n);
   }
 }
 
@@ -96,7 +98,7 @@ void FleetCollector::OnTick(SimTime now) {
 
 void FleetCollector::BeginAttempt(Target* target) {
   ++target->attempt;
-  Bump(attempts_metric_, attempts_);
+  attempts_->Increment();
   target->request_id = next_request_id_++;
   target->assembler.Reset();
   by_request_[target->request_id] = target;
@@ -105,30 +107,29 @@ void FleetCollector::BeginAttempt(Target* target) {
   request.target = target->node;
   (void)nic_->SendMulticast(kMgmtGroup, request.Serialize());
   target->timeout_event = sim_->ScheduleAfter(
-      options_.timeout, [this, target] { OnAttemptTimeout(target); });
+      kAttemptTimeout, [this, target] { OnAttemptTimeout(target); });
 }
 
 void FleetCollector::OnAttemptTimeout(Target* target) {
   by_request_.erase(target->request_id);
-  Bump(timeouts_metric_, timeouts_);
-  if (target->attempt < options_.max_attempts) {
-    Bump(retries_metric_, retries_);
-    // 100ms, 200ms, 400ms, ... — bounded by max_attempts, and in sim time,
+  timeouts_->Increment();
+  if (target->attempt < kMaxAttempts) {
+    retries_->Increment();
+    // 100ms, 200ms, 400ms, ... — bounded by kMaxAttempts, and in sim time,
     // so the whole schedule is reproducible.
-    const SimDuration backoff = options_.retry_backoff
-                                << (target->attempt - 1);
+    const SimDuration backoff = kRetryBackoff << (target->attempt - 1);
     target->retry_event =
         sim_->ScheduleAfter(backoff, [this, target] { BeginAttempt(target); });
     return;
   }
   // Cycle over with nothing ingested.
   target->awaiting = false;
-  Bump(misses_metric_, misses_);
+  misses_->Increment();
   ++target->consecutive_misses;
-  if (target->consecutive_misses >= options_.stale_after_misses &&
+  if (target->consecutive_misses >= kStaleAfterMisses &&
       !target->marked_stale) {
     target->marked_stale = true;
-    Bump(stale_metric_, stale_transitions_);
+    stale_transitions_->Increment();
     store_.MarkStale(target->station);
   }
 }
@@ -144,7 +145,7 @@ void FleetCollector::OnDatagram(const Datagram& datagram) {
     return;
   }
   Target* target = it->second;
-  Bump(chunks_metric_, chunks_received_);
+  chunks_received_->Increment();
   std::optional<Bytes> payload = target->assembler.Add(*chunk);
   if (!payload.has_value()) {
     return;  // More fragments outstanding.
@@ -155,13 +156,13 @@ void FleetCollector::OnDatagram(const Datagram& datagram) {
   Result<StationSnapshot> snapshot = StationSnapshot::Deserialize(*payload);
   if (!snapshot.ok()) {
     // Reassembled but unparseable counts as a miss for staleness purposes.
-    Bump(misses_metric_, misses_);
+    misses_->Increment();
     ++target->consecutive_misses;
     return;
   }
   target->consecutive_misses = 0;
   target->marked_stale = false;
-  Bump(successes_metric_, successes_);
+  successes_->Increment();
   // The collector's name for the target is authoritative; the snapshot's
   // self-reported name is ignored so a misconfigured station can't squat
   // another's slot in the store.

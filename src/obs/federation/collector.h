@@ -1,10 +1,12 @@
 // The active half of the distributed telemetry plane: a FleetCollector
-// periodically pulls a metrics snapshot from every registered station over
-// the management protocol (kScrape out, kScrapeChunk fragments back), with
-// a per-target timeout, bounded retries with doubling backoff, and
-// staleness marking after consecutive whole-cycle misses. Everything runs
-// on the simulated clock, so a lossy or congested segment produces the
-// exact same timeout/retry/staleness history on every run.
+// pulls a metrics snapshot from every registered station once per second
+// of sim time over the management protocol (kScrape out, kScrapeChunk
+// fragments back), with a 250 ms per-attempt timeout, up to two retries
+// after 100 ms and then 200 ms, and staleness marking after two
+// consecutive whole-cycle misses. The store keeps 600 points per (station,
+// metric). Everything runs on the simulated clock, so a lossy or congested
+// segment produces the exact same timeout/retry/staleness history on every
+// run.
 //
 // Stations that live in the collector's own process (the console itself)
 // register as local sources and are ingested directly each cycle — same
@@ -26,24 +28,13 @@
 
 namespace espk {
 
-struct CollectorOptions {
-  SimDuration period = Seconds(1);          // Scrape cycle.
-  SimDuration timeout = Milliseconds(250);  // Per attempt.
-  int max_attempts = 3;                     // 1 try + 2 retries.
-  SimDuration retry_backoff = Milliseconds(100);  // Doubles per retry.
-  // A station is marked stale after this many consecutive cycles in which
-  // every attempt timed out; the next successful scrape clears it.
-  int stale_after_misses = 2;
-  size_t series_capacity = 600;  // Points kept per (station, metric).
-};
-
 class FleetCollector {
  public:
-  // With a registry (typically the console station's own), the collector
-  // registers its self-telemetry there as the scrape.* counter family.
+  // The collector registers its self-telemetry on `self_registry` (the
+  // console station's own) as the scrape.* counter family; the registry
+  // must outlive the collector.
   FleetCollector(Simulation* sim, Transport* nic,
-                 MetricsRegistry* self_registry = nullptr,
-                 const CollectorOptions& options = {});
+                 MetricsRegistry* self_registry);
 
   FleetCollector(const FleetCollector&) = delete;
   FleetCollector& operator=(const FleetCollector&) = delete;
@@ -74,17 +65,17 @@ class FleetCollector {
   FleetStore* store() { return &store_; }
   const FleetStore& store() const { return store_; }
 
-  // Self-telemetry (mirrored as scrape.* counters when a registry was
-  // given). An "attempt" is one request+timeout window; a "miss" is a whole
-  // cycle whose every attempt timed out.
+  // Self-telemetry. An "attempt" is one request+timeout window; a "miss" is
+  // a whole cycle whose every attempt timed out. The scrape.* counters
+  // behind these accessors are the only store of their values.
   uint64_t cycles() const { return cycles_; }
-  uint64_t attempts() const { return attempts_; }
-  uint64_t successes() const { return successes_; }
-  uint64_t timeouts() const { return timeouts_; }
-  uint64_t retries() const { return retries_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t stale_transitions() const { return stale_transitions_; }
-  uint64_t chunks_received() const { return chunks_received_; }
+  uint64_t attempts() const { return attempts_->value(); }
+  uint64_t successes() const { return successes_->value(); }
+  uint64_t timeouts() const { return timeouts_->value(); }
+  uint64_t retries() const { return retries_->value(); }
+  uint64_t misses() const { return misses_->value(); }
+  uint64_t stale_transitions() const { return stale_transitions_->value(); }
+  uint64_t chunks_received() const { return chunks_received_->value(); }
   uint64_t stray_chunks() const { return stray_chunks_; }
   uint64_t overruns() const { return overruns_; }
 
@@ -107,11 +98,9 @@ class FleetCollector {
   void BeginAttempt(Target* target);
   void OnAttemptTimeout(Target* target);
   void OnDatagram(const Datagram& datagram);
-  void Bump(Counter* counter, uint64_t& shadow, uint64_t n = 1);
 
   Simulation* sim_;
   Transport* nic_;
-  CollectorOptions options_;
   FleetStore store_;
   std::unique_ptr<PeriodicTask> task_;
   std::vector<std::unique_ptr<Target>> targets_;
@@ -125,23 +114,16 @@ class FleetCollector {
   uint32_t next_request_id_ = 1;
 
   uint64_t cycles_ = 0;
-  uint64_t attempts_ = 0;
-  uint64_t successes_ = 0;
-  uint64_t timeouts_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t stale_transitions_ = 0;
-  uint64_t chunks_received_ = 0;
   uint64_t stray_chunks_ = 0;
   uint64_t overruns_ = 0;
-  // Null without a self registry.
-  Counter* attempts_metric_ = nullptr;
-  Counter* successes_metric_ = nullptr;
-  Counter* timeouts_metric_ = nullptr;
-  Counter* retries_metric_ = nullptr;
-  Counter* misses_metric_ = nullptr;
-  Counter* stale_metric_ = nullptr;
-  Counter* chunks_metric_ = nullptr;
+  // The scrape.* counters on the self registry.
+  Counter* attempts_;
+  Counter* successes_;
+  Counter* timeouts_;
+  Counter* retries_;
+  Counter* misses_;
+  Counter* stale_transitions_;
+  Counter* chunks_received_;
 };
 
 }  // namespace espk

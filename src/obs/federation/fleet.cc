@@ -3,15 +3,19 @@
 #include "src/obs/federation/sample.h"
 
 namespace espk {
+namespace {
 
-FleetPlane::FleetPlane(EthernetSpeakerSystem* system,
-                       const FleetPlaneOptions& options)
-    : system_(system) {
+// Store key for the system-wide registry, ingested locally each cycle.
+constexpr char kConsoleStation[] = "console";
+
+}  // namespace
+
+FleetPlane::FleetPlane(EthernetSpeakerSystem* system) : system_(system) {
   Simulation* sim = system_->sim();
   collector_nic_ = system_->lan()->CreateNic();
-  collector_ = std::make_unique<FleetCollector>(
-      sim, collector_nic_.get(), system_->metrics(), options.collector);
-  collector_->AddLocalSource(options.console_station, system_->metrics());
+  collector_ = std::make_unique<FleetCollector>(sim, collector_nic_.get(),
+                                                system_->metrics());
+  collector_->AddLocalSource(kConsoleStation, system_->metrics());
   // With span tracing enabled (before the fleet plane is built), each
   // station's span buffer rides its scrape and successfully collected
   // buffers flow into the console-side assembler.
@@ -44,8 +48,7 @@ FleetPlane::FleetPlane(EthernetSpeakerSystem* system,
             snapshot.spans = recorder->SerializeBatch();
           }
           return snapshot.Serialize();
-        },
-        options.agent));
+        }));
     collector_->AddTarget(station->name, nic->node_id());
     agent_nics_.push_back(std::move(nic));
   }

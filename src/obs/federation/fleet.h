@@ -1,7 +1,8 @@
 // One-call wiring for the distributed telemetry plane over an assembled
-// EthernetSpeakerSystem: gives every station a scrape agent on its own NIC,
-// attaches a FleetCollector on a console NIC, and registers the system-wide
-// registry as the local "console" station. After Start(), the collector
+// EthernetSpeakerSystem: gives every station a scrape agent (default
+// ScrapeAgentOptions) on its own NIC, attaches a FleetCollector on a
+// console NIC, and registers the system-wide registry as the local
+// "console" station. After Start(), the collector
 // pulls every station's registry across the simulated LAN each cycle and
 // the store answers queries / renders the dashboard.
 //
@@ -25,19 +26,11 @@
 
 namespace espk {
 
-struct FleetPlaneOptions {
-  CollectorOptions collector;
-  ScrapeAgentOptions agent;
-  // Store key for the system-wide registry, ingested locally each cycle.
-  std::string console_station = "console";
-};
-
 class FleetPlane {
  public:
   // Wires every station the system has created SO FAR — build the fleet
   // plane after the channels and speakers. `system` must outlive it.
-  explicit FleetPlane(EthernetSpeakerSystem* system,
-                      const FleetPlaneOptions& options = {});
+  explicit FleetPlane(EthernetSpeakerSystem* system);
 
   FleetPlane(const FleetPlane&) = delete;
   FleetPlane& operator=(const FleetPlane&) = delete;

@@ -7,10 +7,17 @@
 #include "src/sim/simulation.h"
 
 namespace espk {
+namespace {
 
-SpanExporter::SpanExporter(Simulation* sim,
-                           const SpanExporterOptions& options)
-    : sim_(sim), options_(options) {}
+// A packet whose events stop arriving for this long is considered done and
+// its root span finalized.
+constexpr SimDuration kTraceTtl = Seconds(1);
+// Bound on concurrently in-flight packet states.
+constexpr size_t kMaxPending = 4096;
+
+}  // namespace
+
+SpanExporter::SpanExporter(Simulation* sim) : sim_(sim) {}
 
 void SpanExporter::RegisterStation(uint32_t node, SpanRecorder* recorder) {
   by_node_[node] = recorder;
@@ -71,7 +78,7 @@ void SpanExporter::OnTraceEvent(const TraceEvent& event) {
   auto key = std::pair{event.stream_id, event.seq};
   auto it = pending_.find(key);
   if (it == pending_.end()) {
-    if (pending_.size() >= options_.max_pending) {
+    if (pending_.size() >= kMaxPending) {
       // Force-finalize the oldest key (map order: lowest stream/seq, which
       // on an in-order audio stream IS the oldest packet) to stay bounded.
       auto oldest = pending_.begin();
@@ -192,7 +199,7 @@ void SpanExporter::Finalize(std::pair<uint32_t, uint32_t> key,
 void SpanExporter::FlushIdle(SimTime now) {
   std::vector<std::pair<uint32_t, uint32_t>> done;
   for (auto& [key, state] : pending_) {
-    if (now - state.last_activity >= options_.trace_ttl) {
+    if (now - state.last_activity >= kTraceTtl) {
       done.push_back(key);
     }
   }

@@ -5,8 +5,10 @@
 // to the owning station's SpanRecorder — producer-side stages to the
 // stream's sending station, receiver-side stages to the speaker the event
 // named. When a packet's journey ends (every receiver terminal, a queue
-// drop, or the idle TTL expiring), the root span is emitted and the
-// in-flight state released.
+// drop, or 1 s of sim time passing without an event for it — which covers
+// lost packets that never reach any terminal stage), the root span is
+// emitted and the in-flight state released. At most 4096 packets are in
+// flight; beyond that the oldest is finalized early (counted in evicted()).
 #ifndef SRC_OBS_SPANS_EXPORTER_H_
 #define SRC_OBS_SPANS_EXPORTER_H_
 
@@ -23,19 +25,9 @@ namespace espk {
 class Simulation;
 class SpanRecorder;
 
-struct SpanExporterOptions {
-  // A packet whose events stop arriving for this long is considered done
-  // and its root span finalized (covers lost packets that never reach any
-  // terminal stage).
-  SimDuration trace_ttl = Seconds(1);
-  // Bound on concurrently in-flight packet states; the oldest is force-
-  // finalized beyond this (counted in evicted()).
-  size_t max_pending = 4096;
-};
-
 class SpanExporter : public TraceObserver {
  public:
-  SpanExporter(Simulation* sim, const SpanExporterOptions& options);
+  explicit SpanExporter(Simulation* sim);
 
   // Routes receiver-side spans: events whose `node` matches go to
   // `recorder`.
@@ -49,7 +41,7 @@ class SpanExporter : public TraceObserver {
   void OnTraceEvent(const TraceEvent& event) override;
 
   // Finalizes (emits root spans for) every in-flight packet idle for at
-  // least trace_ttl. SpanPlane::Flush() calls this.
+  // least 1 s. SpanPlane::Flush() calls this.
   void FlushIdle(SimTime now);
   // Finalizes everything regardless of idleness (end-of-run drain).
   void FlushAll();
@@ -85,7 +77,6 @@ class SpanExporter : public TraceObserver {
   void Finalize(std::pair<uint32_t, uint32_t> key, PendingPacket& state);
 
   Simulation* sim_;
-  SpanExporterOptions options_;
   std::map<uint32_t, SpanRecorder*> by_node_;
   struct StreamBinding {
     uint32_t send_node = 0;

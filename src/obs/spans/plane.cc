@@ -11,7 +11,7 @@ SpanPlane::SpanPlane(Simulation* sim, PacketTracer* tracer,
     : sim_(sim),
       tracer_(tracer),
       options_(options),
-      exporter_(sim, options.exporter),
+      exporter_(sim),
       assembler_(options.sampler) {
   tracer_->SetObserver(&exporter_);
   if (console_registry != nullptr) {

@@ -1,11 +1,11 @@
 // The span plane in one object: attaches the exporter to the PacketTracer,
 // owns one SpanRecorder per station, owns the console-side assembler, and
 // offers the flush that finalizes idle traces and triggers tail-sampling
-// decisions. The plane owns no timer: its owner calls Flush() every
-// flush_period. The core system wires this up in EnableSpanTracing(),
-// where the tracer is the barrier-merged mirror and the ZoneCollector
-// flushes at epoch barriers aligned to flush_period, so the exporter never
-// runs against a half-merged mirror. The fleet plane moves recorder
+// decisions. The plane owns no timer: its owner calls Flush() periodically.
+// The core system wires this up in EnableSpanTracing(), where the tracer
+// is the barrier-merged mirror and the ZoneCollector flushes at epoch
+// barriers aligned to a 250 ms sim-time grid, so the exporter never runs
+// against a half-merged mirror. The fleet plane moves recorder
 // contents to the assembler over the mgmt scrape protocol, and
 // CollectLocal() offers the same movement in-process for tests and
 // single-host tools.
@@ -31,10 +31,6 @@ class PacketTracer;
 struct SpanPlaneOptions {
   // Per-station span ring size.
   size_t recorder_capacity = 4096;
-  // How often the owner flushes: idle traces are finalized and sampling
-  // decisions run.
-  SimDuration flush_period = Milliseconds(250);
-  SpanExporterOptions exporter;
   TailSamplerOptions sampler;
 };
 
@@ -66,7 +62,7 @@ class SpanPlane {
   void CollectLocal();
 
   // Finalizes idle traces and runs sampling decisions now. The owner calls
-  // this every flush_period.
+  // this periodically.
   void Flush();
 
   // End-of-run: finalize every in-flight trace, collect all buffers, and

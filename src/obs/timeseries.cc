@@ -92,6 +92,13 @@ std::vector<SeriesPoint> TimeSeries::Tail(size_t count) const {
 
 // ------------------------------------------------------ TimeSeriesSampler --
 
+namespace {
+
+// Points retained per series.
+constexpr size_t kSeriesCapacity = 600;
+
+}  // namespace
+
 TimeSeriesSampler::TimeSeriesSampler(Simulation* sim,
                                      const SamplerOptions& options)
     : sim_(sim), options_(options) {}
@@ -103,7 +110,7 @@ TimeSeries* TimeSeriesSampler::AddSeries(const std::string& name,
     return it->second;  // Already watched; keep the original source.
   }
   series_.push_back(
-      std::make_unique<TimeSeries>(name, options_.series_capacity));
+      std::make_unique<TimeSeries>(name, kSeriesCapacity));
   TimeSeries* series = series_.back().get();
   by_name_[name] = series;
   sources_.push_back(Source{std::move(read), series});

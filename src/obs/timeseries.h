@@ -75,15 +75,13 @@ class TimeSeries {
 struct SamplerOptions {
   // Tick period the owner drives SampleNow() at.
   SimDuration period = Milliseconds(100);
-  // Points retained per series; at the default period, 600 points = 60 s
-  // of history.
-  size_t series_capacity = 600;
 };
 
 // Snapshots watched metrics into series whenever its owner calls
-// SampleNow(). Watch the signals after the system is assembled (metrics
-// must already be registered); each tick samples every series and then
-// notifies tick listeners (the SLO alert engine evaluates there).
+// SampleNow(); each series keeps its newest 600 points (60 s of history at
+// the default period). Watch the signals after the system is assembled
+// (metrics must already be registered); each tick samples every series and
+// then notifies tick listeners (the SLO alert engine evaluates there).
 class TimeSeriesSampler {
  public:
   explicit TimeSeriesSampler(Simulation* sim,

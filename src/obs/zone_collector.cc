@@ -6,6 +6,9 @@ namespace espk {
 
 namespace {
 
+// Epoch slices retained for Perfetto export.
+constexpr size_t kMaxEpochSlices = 8192;
+
 uint64_t TotalBusyNs(const Executor& executor) {
   uint64_t total = 0;
   for (const Executor::WorkerStats& stats : executor.worker_stats()) {
@@ -17,21 +20,15 @@ uint64_t TotalBusyNs(const Executor& executor) {
 }  // namespace
 
 ZoneCollector::ZoneCollector(ShardGroup* shards, PacketTracer* merged,
-                             std::vector<PacketTracer*> zone_tracers,
-                             const Options& options)
+                             std::vector<PacketTracer*> zone_tracers)
     : shards_(shards),
       merged_(merged),
       zone_tracers_(std::move(zone_tracers)),
-      options_(options),
       cursors_(zone_tracers_.size(), 0),
       zones_(static_cast<size_t>(shards->shard_count())),
       created_tp_(std::chrono::steady_clock::now()) {
   shards_->AddBarrierHook(this);
 }
-
-ZoneCollector::ZoneCollector(ShardGroup* shards, PacketTracer* merged,
-                             std::vector<PacketTracer*> zone_tracers)
-    : ZoneCollector(shards, merged, std::move(zone_tracers), Options{}) {}
 
 ZoneCollector::~ZoneCollector() { shards_->RemoveBarrierHook(this); }
 
@@ -129,7 +126,7 @@ void ZoneCollector::OnBarrier(const ShardGroup::EpochRecord& record) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - created_tp_)
           .count());
-  while (slices_.size() > options_.max_epoch_slices) {
+  while (slices_.size() > kMaxEpochSlices) {
     slices_.pop_front();
   }
   // Driven ticks fire only when the barrier lands exactly on the due

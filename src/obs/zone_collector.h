@@ -51,12 +51,6 @@ namespace espk {
 
 class ZoneCollector : public ShardGroup::BarrierHook {
  public:
-  struct Options {
-    // Epoch slices retained for Perfetto export (zones x epochs entries,
-    // oldest evicted first).
-    size_t max_epoch_slices = 8192;
-  };
-
   // One retained epoch on one zone, exported as a Perfetto slice.
   struct EpochSlice {
     SimTime start = 0;
@@ -71,9 +65,6 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   // `zone_tracers[z]` must be the tracer whose events zone z records. All
   // must outlive the collector, which registers itself as a barrier hook on
   // `shards` (and removes itself on destruction).
-  ZoneCollector(ShardGroup* shards, PacketTracer* merged,
-                std::vector<PacketTracer*> zone_tracers,
-                const Options& options);
   ZoneCollector(ShardGroup* shards, PacketTracer* merged,
                 std::vector<PacketTracer*> zone_tracers);
   ~ZoneCollector() override;
@@ -113,6 +104,7 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   // recording (with 50 us epochs, any sane capacity).
   uint64_t merge_lost() const { return merge_lost_; }
   uint64_t barriers_seen() const { return barriers_seen_; }
+  // The newest 8192 slices (zones x epochs entries), oldest first.
   const std::deque<EpochSlice>& epoch_slices() const { return slices_; }
 
  private:
@@ -148,7 +140,6 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   ShardGroup* shards_;
   PacketTracer* merged_;
   std::vector<PacketTracer*> zone_tracers_;
-  Options options_;
   std::vector<uint64_t> cursors_;  // recorded() already merged, per zone.
   std::vector<ZoneSnapshot> zones_;
   std::vector<Driven> driven_;

@@ -16,6 +16,9 @@ namespace {
 // rate-limited send is pending; backpressure then propagates through the
 // master queue to the writing application.
 constexpr size_t kStagingHighWatermarkPackets = 8;
+// §2.2 selective compression: streams at or above this bitrate are
+// Vorbix-compressed, below it sent raw. 200 kbps splits phone/CD cleanly.
+constexpr double kCompressThresholdBps = 200000.0;
 }  // namespace
 
 Rebroadcaster::Rebroadcaster(SimKernel* kernel, Pid pid,
@@ -299,7 +302,7 @@ CodecId Rebroadcaster::PickCodec(const AudioConfig& config) const {
   }
   // §2.2: low-bitrate channels are sent uncompressed — Vorbix would add
   // latency and sender CPU for little bandwidth gain.
-  return config.bits_per_second() >= options_.compress_threshold_bps
+  return config.bits_per_second() >= kCompressThresholdBps
              ? CodecId::kVorbix
              : CodecId::kRaw;
 }

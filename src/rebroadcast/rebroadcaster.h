@@ -5,9 +5,10 @@
 // Responsibilities, straight from the paper:
 //  * read audio + configuration records from /dev/vadmN
 //  * rate-limit to real time (§3.1) — the VAD won't do it
-//  * compress high-bitrate channels, leave low-bitrate channels raw (§2.2),
-//    with the quality index at maximum by default to minimize tandem-lossy
-//    damage (source codec -> Vorbix)
+//  * compress high-bitrate channels (200 kbps and up, which splits phone
+//    from CD quality), leave low-bitrate channels raw (§2.2), with the
+//    quality index at maximum by default to minimize tandem-lossy damage
+//    (source codec -> Vorbix)
 //  * send a control packet at regular intervals carrying the audio config
 //    and the producer wall clock, so receive-only speakers can tune in at
 //    any moment with zero producer state (§2.3)
@@ -51,12 +52,9 @@ struct RebroadcasterOptions {
   bool rate_limiter_enabled = true;
   SimDuration rate_limiter_lead = Milliseconds(250);
 
-  // §2.2 selective compression: streams at or above this bitrate are
-  // Vorbix-compressed, below it sent raw. Set to 0 to always compress,
-  // or very large to never compress. 200 kbps splits phone/CD cleanly.
-  double compress_threshold_bps = 200000.0;
   int quality = 10;  // "we simply set the Ogg Vorbis quality index to its
                      // maximum" (§2.2).
+  // Forces one codec instead of §2.2's choice by bitrate.
   std::optional<CodecId> codec_override;
 
   // Optional §5.1 authenticator: given the signed region, returns the auth

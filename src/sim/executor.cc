@@ -2,40 +2,15 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace espk {
-namespace {
 
-void PinToCore(std::thread& t, int core) {
-#if defined(__linux__)
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(core) % cores, &set);
-  // Best-effort: a restricted cpuset just leaves the thread unpinned.
-  (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-  (void)t;
-  (void)core;
-#endif
-}
-
-}  // namespace
-
-Executor::Executor(int threads, bool pin_threads)
+Executor::Executor(int threads)
     : participants_(std::max(1, threads)),
       stats_(static_cast<size_t>(std::max(1, threads))) {
   const int extra = std::max(0, threads - 1);
   workers_.reserve(static_cast<size_t>(extra));
   for (int i = 0; i < extra; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
-    if (pin_threads) {
-      PinToCore(workers_.back(), i + 1);
-    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Thread-per-core executor driving the sharded runtime's epochs. A fixed
-// pool of workers is spawned once (thread-per-core, optionally pinned) and
-// reused for every ParallelFor — shards migrate between ParallelFor calls
-// only at barriers, never mid-epoch, so each shard's state is touched by
-// exactly one thread per phase.
+// pool of workers is spawned once (unpinned: the OS scheduler places them)
+// and reused for every ParallelFor — shards migrate between ParallelFor
+// calls only at barriers, never mid-epoch, so each shard's state is touched
+// by exactly one thread per phase.
 //
 // ParallelFor(n, fn) runs fn(0..n-1) distributed across the pool and does
 // not return until every index completed — it IS the conservative-lookahead
@@ -35,9 +35,8 @@ class Executor {
  public:
   // `threads` is the total worker count including the calling thread, which
   // participates in every ParallelFor. threads <= 1 means inline serial
-  // execution (no pool). When `pin_threads` is set (Linux only), workers are
-  // pinned round-robin over the available cores.
-  explicit Executor(int threads, bool pin_threads = false);
+  // execution (no pool).
+  explicit Executor(int threads);
   ~Executor();
 
   Executor(const Executor&) = delete;

@@ -18,7 +18,7 @@ int ClampThreads(const ShardGroup::Options& options) {
 
 ShardGroup::ShardGroup(const Options& options)
     : lookahead_(options.lookahead),
-      executor_(ClampThreads(options), options.pin_threads) {
+      executor_(ClampThreads(options)) {
   assert(options.shards >= 1);
   assert(options.lookahead > 0);
   const size_t n = static_cast<size_t>(options.shards);

@@ -52,13 +52,15 @@ class ShardGroup {
   struct Options {
     int shards = 1;
     // Epoch length = the minimum latency of any cross-shard interaction.
-    // Must be positive; posting with at < epoch end asserts.
+    // Must be positive; posting with at < epoch end asserts. The system
+    // passes its LAN's base_delay.
     SimDuration lookahead = Microseconds(50);
     // Executor width including the caller; clamped to [1, shards]. 1 means
-    // fully inline (no threads) — same results either way.
+    // fully inline (no threads) — same results either way. Workers are not
+    // pinned to cores.
     int threads = 1;
-    bool pin_threads = false;
     // Per-link SPSC ring capacity (messages); overflow spills to a vector.
+    // The system keeps this default.
     size_t inbox_capacity = 1024;
   };
 

@@ -8,6 +8,11 @@
 //    mastered at different levels come out at the same loudness;
 //  * announcement mode — stay well above the ambient level so announcements
 //    "are likely to be heard" over crowd noise.
+//
+// Every 500 ms the controller measures the speaker's output RMS over the
+// last 500 ms, aims for an output-to-ambient ratio of 1 (music) or 4
+// (announcements), and corrects half of the gain error (a first-order
+// loop), within [min_gain, max_gain].
 #ifndef SRC_SPEAKER_AUTO_VOLUME_H_
 #define SRC_SPEAKER_AUTO_VOLUME_H_
 
@@ -26,15 +31,8 @@ enum class VolumeMode {
 
 struct AutoVolumeOptions {
   VolumeMode mode = VolumeMode::kBackgroundMusic;
-  SimDuration interval = Milliseconds(500);
-  SimDuration window = Milliseconds(500);
-  // Output-to-ambient RMS ratio the controller aims for.
-  double music_ratio = 1.0;
-  double announcement_ratio = 4.0;
   float min_gain = 0.05f;
   float max_gain = 8.0f;
-  // Fraction of the gain error corrected per tick (first-order loop).
-  double adjust_rate = 0.5;
 };
 
 // The simulated microphone's ambient-noise pickup (RMS) as a function of

@@ -68,7 +68,7 @@ TEST(UnsyncReceiverTest, PlaysTheStream) {
                                std::make_unique<MusicLikeGenerator>(1), opts)
                   .ok());
   auto nic = system.lan()->CreateNic();
-  UnsyncReceiver radio(system.sim(), nic.get(), UnsyncReceiverOptions{});
+  UnsyncReceiver radio(system.sim(), nic.get());
   ASSERT_TRUE(radio.Tune(channel->group).ok());
   system.RunUntil(Seconds(5));
   EXPECT_TRUE(radio.ready());
@@ -90,7 +90,7 @@ TEST(UnsyncReceiverTest, StaggeredStartsStayPermanentlySkewed) {
                   .ok());
 
   auto nic1 = system.lan()->CreateNic();
-  UnsyncReceiver radio1(system.sim(), nic1.get(), UnsyncReceiverOptions{});
+  UnsyncReceiver radio1(system.sim(), nic1.get());
   ASSERT_TRUE(radio1.Tune(channel->group).ok());
 
   // ES pair for comparison, one also joining late.
@@ -101,7 +101,7 @@ TEST(UnsyncReceiverTest, StaggeredStartsStayPermanentlySkewed) {
   system.RunUntil(Seconds(3));
 
   auto nic2 = system.lan()->CreateNic();
-  UnsyncReceiver radio2(system.sim(), nic2.get(), UnsyncReceiverOptions{});
+  UnsyncReceiver radio2(system.sim(), nic2.get());
   ASSERT_TRUE(radio2.Tune(channel->group).ok());
   EthernetSpeaker* es2 = *system.AddSpeaker(so, channel->group);
 

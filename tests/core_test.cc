@@ -176,5 +176,36 @@ TEST(SystemTest, StationMetricsAreRegisteredOnlyOnTheirStation) {
   EXPECT_EQ(system.metrics()->Find("speaker.49.late_drops"), nullptr);
 }
 
+TEST(SystemTest, StationsAddedAfterSpanTracingGetRecorders) {
+  // A channel and speakers created after the span plane attach to it as
+  // they are created: a recorder each, its metrics on the station.
+  EthernetSpeakerSystem system;
+  SpanPlane* spans = system.EnableSpanTracing();
+  ASSERT_NE(spans, nullptr);
+  RebroadcasterOptions rb;
+  rb.codec_override = CodecId::kRaw;
+  Channel* channel = *system.CreateChannel("music", rb);
+  SpeakerOptions so;
+  so.decode_speed_factor = 0.1;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(system.AddSpeaker(so, channel->group).ok());
+  }
+  SpanRecorder* producer = spans->FindRecorder("rb-1");
+  SpanRecorder* speaker = spans->FindRecorder("es-2");
+  ASSERT_NE(producer, nullptr);
+  ASSERT_NE(speaker, nullptr);
+  EXPECT_NE(system.FindStation("es-2")->registry->Find("spans.recorded"),
+            nullptr);
+
+  PlayerAppOptions opts;
+  opts.config = AudioConfig::PhoneQuality();
+  opts.chunk_frames = 800;
+  (void)*system.StartPlayer(channel, std::make_unique<SineGenerator>(440.0),
+                            opts);
+  system.RunUntil(Seconds(2));
+  EXPECT_GT(producer->appended(), 0u);
+  EXPECT_GT(speaker->appended(), 0u);
+}
+
 }  // namespace
 }  // namespace espk

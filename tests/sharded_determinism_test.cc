@@ -481,31 +481,16 @@ TEST(ShardedDeterminismTest, MixedDrivingKeepsOneClock) {
   EXPECT_GT(speaker->stats().chunks_played, 0u);
 }
 
-TEST(ShardedDeterminismTest, ZonePlacementRoundRobinsAndBlocks) {
-  {
-    SystemOptions options;
-    options.sharded.zones = 3;
-    EthernetSpeakerSystem system(options);
-    Channel* channel = *system.CreateChannel("music");
-    for (int i = 0; i < 6; ++i) {
-      (void)*system.AddSpeaker(SpeakerOptions{}, channel->group);
-    }
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_EQ(system.ZoneOf(static_cast<size_t>(i)), i % 3);
-    }
+TEST(ShardedDeterminismTest, ZonePlacementRoundRobins) {
+  SystemOptions options;
+  options.sharded.zones = 3;
+  EthernetSpeakerSystem system(options);
+  Channel* channel = *system.CreateChannel("music");
+  for (int i = 0; i < 6; ++i) {
+    (void)*system.AddSpeaker(SpeakerOptions{}, channel->group);
   }
-  {
-    SystemOptions options;
-    options.sharded.zones = 3;
-    options.sharded.speakers_per_zone = 2;
-    EthernetSpeakerSystem system(options);
-    Channel* channel = *system.CreateChannel("music");
-    for (int i = 0; i < 6; ++i) {
-      (void)*system.AddSpeaker(SpeakerOptions{}, channel->group);
-    }
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_EQ(system.ZoneOf(static_cast<size_t>(i)), i / 2);
-    }
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(system.ZoneOf(static_cast<size_t>(i)), i % 3);
   }
 }
 

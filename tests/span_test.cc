@@ -91,7 +91,7 @@ TEST(SpanExporterTest, PairsInstantEventsIntoStageSpans) {
   // loses it on the wire. Every stage interval must come out with exactly
   // the event-pair endpoints, routed to the right station's recorder.
   Simulation sim;
-  SpanExporter exporter(&sim, SpanExporterOptions{});
+  SpanExporter exporter(&sim);
   SpanRecorder producer("rb-1", 64);
   SpanRecorder rx2("es-0", 64);
   SpanRecorder rx3("es-1", 64);
@@ -170,7 +170,7 @@ TEST(SpanExporterTest, PairsInstantEventsIntoStageSpans) {
 
 TEST(SpanExporterTest, QueueDropFinalizesTheJourneyImmediately) {
   Simulation sim;
-  SpanExporter exporter(&sim, SpanExporterOptions{});
+  SpanExporter exporter(&sim);
   SpanRecorder producer("rb-1", 64);
   exporter.BindStream(1, 1, &producer);
 
