@@ -52,14 +52,20 @@ void PacketTracer::Push(TraceEvent event) {
 }
 
 void PacketTracer::Ingest(const TraceEvent& event) {
-  if (ring_.size() >= capacity_) {
-    ring_.pop_front();
+  const TraceEvent* stored = nullptr;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+    stored = &ring_.back();
+  } else {
+    // Full: the new event overwrites the oldest.
+    ring_[head_] = event;
+    stored = &ring_[head_];
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++dropped_;
   }
-  ring_.push_back(event);
   ++recorded_;
   if (observer_ != nullptr) {
-    observer_->OnTraceEvent(ring_.back());
+    observer_->OnTraceEvent(*stored);
   }
 }
 
@@ -120,7 +126,7 @@ void PacketTracer::ResetStream(uint32_t stream_id) {
 std::vector<TraceEvent> PacketTracer::EventsFor(uint32_t stream_id,
                                                 uint32_t seq) const {
   std::vector<TraceEvent> out;
-  for (const TraceEvent& event : ring_) {
+  for (const TraceEvent& event : events()) {
     if (event.stream_id == stream_id && event.seq == seq) {
       out.push_back(event);
     }
@@ -133,13 +139,13 @@ RunningStats PacketTracer::StageLatencyMs(TraceStage from,
   // First `from` time per packet, then one sample per `to` occurrence (a
   // multicast packet reaches every listener; each receive/play counts).
   std::map<std::pair<uint32_t, uint32_t>, SimTime> starts;
-  for (const TraceEvent& event : ring_) {
+  for (const TraceEvent& event : events()) {
     if (event.stage == from) {
       starts.emplace(std::pair{event.stream_id, event.seq}, event.at);
     }
   }
   RunningStats stats;
-  for (const TraceEvent& event : ring_) {
+  for (const TraceEvent& event : events()) {
     if (event.stage != to) {
       continue;
     }

@@ -18,11 +18,17 @@
 // that its ZoneCollector (src/obs/zone_collector.h) feeds through Ingest at
 // epoch barriers. The mirror is what the span plane, the health plane, and
 // system.tracer() readers see.
+//
+// The event ring is a vector that grows once up to its capacity and is then
+// overwritten in place from a head index, so a full ring records without
+// allocating. events() views it oldest first.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -92,6 +98,62 @@ class TraceObserver {
   virtual void OnTraceEvent(const TraceEvent& event) = 0;
 };
 
+// Oldest-first view of a PacketTracer's event ring: its slots read from
+// `head` on, wrapping at the end. Valid until the tracer next records.
+class TraceRingView {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TraceEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TraceEvent*;
+    using reference = const TraceEvent&;
+
+    Iterator() = default;
+    Iterator(const std::vector<TraceEvent>* slots, size_t head, size_t index)
+        : slots_(slots), head_(head), index_(index) {}
+    reference operator*() const { return At(*slots_, head_, index_); }
+    pointer operator->() const { return &At(*slots_, head_, index_); }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const {
+      return index_ == other.index_;
+    }
+
+   private:
+    const std::vector<TraceEvent>* slots_ = nullptr;
+    size_t head_ = 0;
+    size_t index_ = 0;
+  };
+
+  TraceRingView(const std::vector<TraceEvent>* slots, size_t head)
+      : slots_(slots), head_(head) {}
+
+  size_t size() const { return slots_->size(); }
+  // The i-th oldest event.
+  const TraceEvent& operator[](size_t i) const { return At(*slots_, head_, i); }
+  Iterator begin() const { return Iterator(slots_, head_, 0); }
+  Iterator end() const { return Iterator(slots_, head_, size()); }
+
+ private:
+  static const TraceEvent& At(const std::vector<TraceEvent>& slots,
+                              size_t head, size_t i) {
+    const size_t slot = head + i;
+    return slots[slot < slots.size() ? slot : slot - slots.size()];
+  }
+
+  const std::vector<TraceEvent>* slots_;
+  size_t head_;
+};
+
 class PacketTracer {
  public:
   // `capacity` bounds the event ring; the oldest events are overwritten
@@ -149,7 +211,8 @@ class PacketTracer {
   // them — consumers that need time order must sort by `at`.
   std::vector<TraceEvent> EventsFor(uint32_t stream_id, uint32_t seq) const;
 
-  const std::deque<TraceEvent>& events() const { return ring_; }
+  // The retained events, oldest first.
+  TraceRingView events() const { return TraceRingView(&ring_, head_); }
   uint64_t recorded() const { return recorded_; }
   uint64_t dropped() const { return dropped_; }
   size_t capacity() const { return capacity_; }
@@ -178,7 +241,10 @@ class PacketTracer {
   size_t capacity_;
   TraceObserver* observer_ = nullptr;
   bool span_stages_ = false;
-  std::deque<TraceEvent> ring_;
+  // Grows to capacity_, then wraps: head_ is the oldest event's slot (0
+  // until the ring first fills).
+  std::vector<TraceEvent> ring_;
+  size_t head_ = 0;
   uint64_t recorded_ = 0;
   uint64_t dropped_ = 0;
   std::map<std::pair<uint32_t, uint8_t>, StreamStage> byte_state_;

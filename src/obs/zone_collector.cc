@@ -49,7 +49,7 @@ void ZoneCollector::MergeTraces() {
     if (fresh == 0) {
       continue;
     }
-    const std::deque<TraceEvent>& ring = tracer->events();
+    const TraceRingView ring = tracer->events();
     if (fresh > ring.size()) {
       // Recorded since the last barrier but already evicted from the zone
       // ring — the mirror permanently misses them. Cannot happen while the

@@ -2,20 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace espk {
 
-void OutputRecorder::Play(SimTime start, std::vector<float> samples,
-                          float gain) {
-  if (samples.empty()) {
+void OutputRecorder::Play(SimTime start, PcmBlock block, float gain) {
+  if (block->empty()) {
     return;
   }
-  if (gain != 1.0f) {
-    for (float& s : samples) {
-      s *= gain;
-    }
-  }
-  segments_.push_back(Segment{start, std::move(samples)});
+  segments_.push_back(Segment{start, std::move(block), gain});
+}
+
+void OutputRecorder::Play(SimTime start, std::vector<float> samples,
+                          float gain) {
+  Play(start, std::make_shared<const std::vector<float>>(std::move(samples)),
+       gain);
 }
 
 std::vector<float> OutputRecorder::Render(SimTime from,
@@ -26,7 +27,7 @@ std::vector<float> OutputRecorder::Render(SimTime from,
     int64_t seg_start_frame =
         DurationToFrames(seg.start - from, sample_rate_);
     const auto seg_frames =
-        static_cast<int64_t>(seg.samples.size()) / channels_;
+        static_cast<int64_t>(seg.block->size()) / channels_;
     for (int64_t f = 0; f < seg_frames; ++f) {
       int64_t out_frame = seg_start_frame + f;
       if (out_frame < 0 || out_frame >= frames) {
@@ -34,7 +35,7 @@ std::vector<float> OutputRecorder::Render(SimTime from,
       }
       for (int c = 0; c < channels_; ++c) {
         out[static_cast<size_t>(out_frame * channels_ + c)] =
-            seg.samples[static_cast<size_t>(f * channels_ + c)];
+            seg.sample(static_cast<size_t>(f * channels_ + c));
       }
     }
   }
@@ -85,7 +86,8 @@ double OutputRecorder::RecentRms(SimTime now, SimDuration window) const {
     if (it->start >= now) {
       continue;
     }
-    for (float s : it->samples) {
+    for (size_t i = 0; i < it->block->size(); ++i) {
+      const float s = it->sample(i);
       acc += static_cast<double>(s) * s;
       ++count;
     }

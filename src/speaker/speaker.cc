@@ -85,7 +85,7 @@ void PipelineScheduler::RunDecodes(uint32_t slot) {
   std::vector<PlayJob> plays;
   for (const DecodeJob& job : group) {
     PendingPlay play;
-    job.speaker->RunDecode(job.pending, &play);
+    job.speaker->RunDecode(job.pending, &last_decode_, &play);
     if (play.valid) {
       if (plays.empty()) {
         plays.reserve(group.size());
@@ -104,7 +104,11 @@ void PipelineScheduler::RunPlays(uint32_t slot) {
 
 EthernetSpeaker::EthernetSpeaker(Simulation* sim, Transport* nic,
                                  const SpeakerOptions& options)
-    : sim_(sim), nic_(nic), options_(options), scheduler_(sim) {
+    : sim_(sim),
+      nic_(nic),
+      node_id_(nic->node_id()),
+      options_(options),
+      scheduler_(sim) {
   nic_->SetReceiveHandler(
       [this](const Datagram& datagram) { OnDatagram(datagram); });
 }
@@ -290,17 +294,17 @@ void EthernetSpeaker::IngestParsed(const Result<ParsedPacket>& parsed,
 void EthernetSpeaker::Trace(uint32_t stream_id, uint32_t seq,
                             TraceStage stage) {
   if (options_.tracer != nullptr) {
-    options_.tracer->Record(stream_id, seq, stage, nic_->node_id());
+    options_.tracer->Record(stream_id, seq, stage, node_id_);
   }
 }
 
 void EthernetSpeaker::RunDecode(const PendingDecode& pending,
-                                PendingPlay* out_play) {
+                                LastDecode* last, PendingPlay* out_play) {
   StreamSession* session = FindSession(pending.group);
   if (session == nullptr || session->epoch() != pending.session_epoch) {
     return;  // Unsubscribed while the chunk was in the pipeline.
   }
-  session->RunDecode(pending, out_play);
+  session->RunDecode(pending, last, out_play);
 }
 
 void EthernetSpeaker::RunPlay(PendingPlay play) {

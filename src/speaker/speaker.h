@@ -33,6 +33,13 @@
 // members per packet into the zone's scheduler. A standalone speaker (its
 // own NIC handler, or HandleDatagram) is a batch of one on its own
 // scheduler.
+//
+// The scheduler decodes once per (packet, zone): a member whose session
+// decodes the same payload with the same decoder parameters as the
+// scheduler's last decode plays that decode's PcmBlock instead of decoding
+// again. Only host work is shared. Each member still pays its own simulated
+// decode time on its own decode CPU, counts its own stats, and records its
+// own trace stages.
 #ifndef SRC_SPEAKER_SPEAKER_H_
 #define SRC_SPEAKER_SPEAKER_H_
 
@@ -119,8 +126,31 @@ struct PendingPlay {
   uint64_t session_epoch = 0;
   uint32_t stream_id = 0;
   uint32_t seq = 0;
-  std::vector<float> samples;
+  PcmBlock pcm;
   size_t decoded_bytes = 0;
+};
+
+// A PipelineScheduler's last successful decode, keyed by everything its
+// output depends on. Both codecs decode each packet on its own (the
+// AudioDecoder contract), so the PCM is a pure function of the payload
+// bytes and the decoder's parameters. The key holds the payload slice, and
+// with it the arrival buffer, so the buffer's address cannot be reused by
+// another packet while the key names it.
+struct LastDecode {
+  BufferSlice payload;
+  CodecId codec = CodecId::kRaw;
+  AudioConfig config;
+  uint8_t quality = 0;
+  PcmBlock pcm;  // Null until the first successful decode.
+
+  // True when `pcm` is what a decoder with these parameters would produce
+  // for `slice`: the same slice of the same arrival buffer.
+  bool Matches(const BufferSlice& slice, CodecId slice_codec,
+               const AudioConfig& slice_config, uint8_t slice_quality) const {
+    return pcm != nullptr && payload.data() == slice.data() &&
+           payload.size() == slice.size() && codec == slice_codec &&
+           config == slice_config && quality == slice_quality;
+  }
 };
 
 class EthernetSpeaker;
@@ -145,6 +175,11 @@ struct PlayJob {
 // A waiting group is parked in a slot and its event captures only
 // (scheduler, slot), which std::function stores inline: each group costs
 // one allocation, its vector.
+//
+// The scheduler keeps its last successful decode (LastDecode). Members of a
+// zone that decode the same packet with the same parameters, in one group
+// or in later ones with no other decode between, share its PcmBlock; a
+// failed decode is never kept, so every member counts its own error.
 class PipelineScheduler {
  public:
   explicit PipelineScheduler(Simulation* sim) : sim_(sim) {}
@@ -172,6 +207,7 @@ class PipelineScheduler {
   Simulation* sim_;
   Slots<DecodeJob> decodes_;
   Slots<PlayJob> plays_;
+  LastDecode last_decode_;
 };
 
 struct SpeakerStats {
@@ -274,10 +310,12 @@ class EthernetSpeaker {
   // otherwise.
   void IngestParsed(const Result<ParsedPacket>& parsed, StreamSession* session,
                     PendingDecode* out);
-  // Stage 2, at pending.decode_done: decode + deadline triage. An
-  // early-arriving chunk becomes a playout obligation in `*out_play`;
-  // on-time chunks play here, late ones drop here.
-  void RunDecode(const PendingDecode& pending, PendingPlay* out_play);
+  // Stage 2, at pending.decode_done: decode + deadline triage. The decode
+  // reuses `*last` when it matches and replaces it after a successful
+  // decode otherwise. An early-arriving chunk becomes a playout obligation
+  // in `*out_play`; on-time chunks play here, late ones drop here.
+  void RunDecode(const PendingDecode& pending, LastDecode* last,
+                 PendingPlay* out_play);
   // Stage 3, at play.at: render an early chunk at its deadline.
   void RunPlay(PendingPlay play);
 
@@ -292,6 +330,8 @@ class EthernetSpeaker {
 
   Simulation* sim_;
   Transport* nic_;
+  // The NIC's id, fixed at its construction; stamped on trace records.
+  const NodeId node_id_;
   SpeakerOptions options_;
   // Schedules what HandleDatagram admits (zone members use their zone's).
   PipelineScheduler scheduler_;

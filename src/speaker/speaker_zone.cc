@@ -18,6 +18,7 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
   const SimTime now = sim_->now();
   std::vector<DecodeJob> jobs;
   jobs.reserve(entries.size());
+  std::optional<uint32_t> slot;
   for (const ZoneDeliveryEntry& entry : entries) {
     const Member& member = members_[static_cast<size_t>(entry.member)];
     if (entry.arrival <= now) {
@@ -26,13 +27,42 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
     }
     // Jitter pushed this member's arrival past the batch instant: fall back
     // to one event for it, still reusing the shared parse and payload.
-    sim_->ScheduleAt(entry.arrival,
-                     [this, index = entry.member, datagram, parsed] {
-                       std::vector<DecodeJob> late_jobs;
-                       Ingest(members_[static_cast<size_t>(index)], datagram,
-                              parsed, &late_jobs);
-                       scheduler_.ScheduleDecodes(std::move(late_jobs));
-                     });
+    if (!slot.has_value()) {
+      slot = ParkDeferred(datagram, parsed);
+    }
+    ++deferred_[*slot].waiting;
+    sim_->ScheduleAt(entry.arrival, [this, slot = *slot, index = entry.member] {
+      RunDeferred(slot, index);
+    });
+  }
+  scheduler_.ScheduleDecodes(std::move(jobs));
+}
+
+uint32_t SpeakerZone::ParkDeferred(const Datagram& datagram,
+                                   const Result<ParsedPacket>& parsed) {
+  uint32_t slot = 0;
+  if (free_deferred_.empty()) {
+    slot = static_cast<uint32_t>(deferred_.size());
+    deferred_.emplace_back();
+  } else {
+    slot = free_deferred_.back();
+    free_deferred_.pop_back();
+  }
+  deferred_[slot].datagram = datagram;
+  deferred_[slot].parsed = parsed;
+  return slot;
+}
+
+void SpeakerZone::RunDeferred(uint32_t slot, int member) {
+  Deferred& batch = deferred_[slot];
+  std::vector<DecodeJob> jobs;
+  Ingest(members_[static_cast<size_t>(member)], batch.datagram, *batch.parsed,
+         &jobs);
+  if (--batch.waiting == 0) {
+    // Release the payload now rather than when the slot is next reused.
+    batch.datagram = Datagram();
+    batch.parsed.reset();
+    free_deferred_.push_back(slot);
   }
   scheduler_.ScheduleDecodes(std::move(jobs));
 }

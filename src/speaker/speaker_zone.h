@@ -10,7 +10,10 @@
 // distinct decode-completion instant and ONE per distinct playout instant
 // for the whole zone. On a symmetric fleet (same codec config, idle
 // pipelines) those instants coincide across members, so a 1000-speaker
-// zone rides three events per packet instead of three thousand.
+// zone rides three events per packet instead of three thousand. The
+// scheduler also decodes each packet once for every member whose session
+// decodes it with the same parameters, and they all play that one PCM
+// block.
 //
 // A zone is NOT one stream: the segment filters each transmission by group
 // membership before batching, so a batch's entry list is exactly the
@@ -28,6 +31,8 @@
 #ifndef SRC_SPEAKER_SPEAKER_ZONE_H_
 #define SRC_SPEAKER_SPEAKER_ZONE_H_
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/lan/segment.h"
@@ -57,15 +62,32 @@ class SpeakerZone : public ZoneSink {
     EthernetSpeaker* speaker = nullptr;
   };
 
+  // A batch some of whose members' jittered arrivals fall after the batch
+  // instant, parked until the last of their arrival events has run. Each
+  // such event captures only (zone, slot, member), which std::function
+  // stores inline, so the batch's datagram and parse are copied once, not
+  // once per late member.
+  struct Deferred {
+    Datagram datagram;
+    std::optional<Result<ParsedPacket>> parsed;
+    uint32_t waiting = 0;  // Arrival events still to run.
+  };
+
   // One member's arrival: admission (appending the decode obligation, if
   // any, to `jobs`), or the NIC's receive handler when the member has no
   // session for the group.
   void Ingest(const Member& member, const Datagram& datagram,
               const Result<ParsedPacket>& parsed, std::vector<DecodeJob>* jobs);
+  uint32_t ParkDeferred(const Datagram& datagram,
+                        const Result<ParsedPacket>& parsed);
+  // A late member's arrival event.
+  void RunDeferred(uint32_t slot, int member);
 
   Simulation* sim_;
   PipelineScheduler scheduler_;
   std::vector<Member> members_;
+  std::vector<Deferred> deferred_;
+  std::vector<uint32_t> free_deferred_;
 };
 
 }  // namespace espk

@@ -1,6 +1,7 @@
 #include "src/speaker/stream_session.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -132,8 +133,7 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
     // when the serialized pipeline is busy, hence RecordAt.
     speaker_->options_.tracer->RecordAt(packet.stream_id, packet.seq,
                                         TraceStage::kDecodeStart,
-                                        speaker_->nic_->node_id(),
-                                        decode_start);
+                                        speaker_->node_id_, decode_start);
   }
 
   // The packet occupies the jitter buffer from arrival; the payload rides
@@ -151,25 +151,32 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
   out->decoded_bytes = decoded_bytes;
 }
 
-void StreamSession::RunDecode(const PendingDecode& pending,
+void StreamSession::RunDecode(const PendingDecode& pending, LastDecode* last,
                               PendingPlay* out_play) {
   if (decoder_ == nullptr || recorder_ == nullptr) {
     queued_pcm_bytes_ -= pending.decoded_bytes;
     return;  // Cannot happen after admission; kept as a defensive mirror.
   }
-  Result<std::vector<float>> samples = decoder_->DecodePacket(pending.payload);
-  if (!samples.ok()) {
-    ++speaker_->stats_.decode_errors;
-    queued_pcm_bytes_ -= pending.decoded_bytes;
-    return;
+  // The session's CURRENT decoder parameters, as for a decode of its own: a
+  // control packet may have switched them since admission.
+  if (!last->Matches(pending.payload, codec_, *config_, quality_)) {
+    Result<std::vector<float>> samples =
+        decoder_->DecodePacket(pending.payload);
+    if (!samples.ok()) {
+      ++speaker_->stats_.decode_errors;
+      queued_pcm_bytes_ -= pending.decoded_bytes;
+      return;
+    }
+    *last = LastDecode{
+        pending.payload, codec_, *config_, quality_,
+        std::make_shared<const std::vector<float>>(std::move(*samples))};
   }
   OnDecodeComplete(pending.stream_id, pending.seq, pending.local_deadline,
-                   std::move(*samples), pending.decoded_bytes, out_play);
+                   last->pcm, pending.decoded_bytes, out_play);
 }
 
 void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
-                                     SimTime local_deadline,
-                                     std::vector<float> samples,
+                                     SimTime local_deadline, PcmBlock pcm,
                                      size_t decoded_bytes,
                                      PendingPlay* out_play) {
   speaker_->Trace(stream_id, seq, TraceStage::kDecodeDone);
@@ -203,9 +210,9 @@ void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
     speaker_->stats_.total_lateness_ns += lateness;
     ++speaker_->stats_.chunks_played;
     ++stats_.chunks_played;
-    NotePlay(now, samples.size());
+    NotePlay(now, pcm->size());
     speaker_->Trace(stream_id, seq, TraceStage::kPlay);
-    recorder_->Play(now, std::move(samples), speaker_->options_.gain);
+    recorder_->Play(now, std::move(pcm), speaker_->options_.gain);
     return;
   }
   // Early: sleep until it is time to play. The chunk keeps occupying the
@@ -216,7 +223,7 @@ void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
   out_play->session_epoch = epoch_;
   out_play->stream_id = stream_id;
   out_play->seq = seq;
-  out_play->samples = std::move(samples);
+  out_play->pcm = std::move(pcm);
   out_play->decoded_bytes = decoded_bytes;
 }
 
@@ -227,9 +234,9 @@ void StreamSession::RunPlay(PendingPlay play) {
   }
   ++speaker_->stats_.chunks_played;
   ++stats_.chunks_played;
-  NotePlay(play.at, play.samples.size());
+  NotePlay(play.at, play.pcm->size());
   speaker_->Trace(play.stream_id, play.seq, TraceStage::kPlay);
-  recorder_->Play(play.at, std::move(play.samples), speaker_->options_.gain);
+  recorder_->Play(play.at, std::move(play.pcm), speaker_->options_.gain);
 }
 
 }  // namespace espk

@@ -28,6 +28,7 @@
 namespace espk {
 
 class EthernetSpeaker;
+struct LastDecode;
 struct PendingDecode;
 struct PendingPlay;
 
@@ -69,12 +70,13 @@ class StreamSession {
   // at decode-done, render at the play deadline.
   void HandleControl(const ControlPacket& packet);
   void HandleData(const DataPacket& packet, PendingDecode* out);
-  void RunDecode(const PendingDecode& pending, PendingPlay* out_play);
+  void RunDecode(const PendingDecode& pending, LastDecode* last,
+                 PendingPlay* out_play);
   void RunPlay(PendingPlay play);
 
  private:
   void OnDecodeComplete(uint32_t stream_id, uint32_t seq,
-                        SimTime local_deadline, std::vector<float> samples,
+                        SimTime local_deadline, PcmBlock pcm,
                         size_t decoded_bytes, PendingPlay* out_play);
   // Accounts playout-timeline gaps: a chunk of `sample_count` samples
   // started rendering at `at`.

@@ -256,6 +256,38 @@ TEST(PacketTracerTest, RingBoundsAndCountsDrops) {
   EXPECT_EQ(tracer.EventsFor(1, 9).size(), 1u);
 }
 
+// The ring wraps in place: after 7 records into 3 slots, events() still
+// reads oldest first, and the observer saw every record as it was made.
+TEST(PacketTracerTest, WrappedRingReadsOldestFirst) {
+  class SeqObserver : public TraceObserver {
+   public:
+    void OnTraceEvent(const TraceEvent& event) override {
+      seqs.push_back(event.seq);
+    }
+    std::vector<uint32_t> seqs;
+  };
+  Simulation sim;
+  PacketTracer tracer(&sim, /*capacity=*/3);
+  SeqObserver observer;
+  tracer.SetObserver(&observer);
+  for (uint32_t seq = 0; seq < 7; ++seq) {
+    tracer.Record(1, seq, TraceStage::kEncode);
+  }
+  const TraceRingView events = tracer.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].seq, 4u);
+  EXPECT_EQ(events[1].seq, 5u);
+  EXPECT_EQ(events[2].seq, 6u);
+  std::vector<uint32_t> iterated;
+  for (const TraceEvent& event : events) {
+    iterated.push_back(event.seq);
+  }
+  EXPECT_EQ(iterated, (std::vector<uint32_t>{4, 5, 6}));
+  EXPECT_EQ(tracer.recorded(), 7u);
+  EXPECT_EQ(tracer.dropped(), 4u);
+  EXPECT_EQ(observer.seqs, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
 TEST(PacketTracerTest, StageLatencyAcrossListeners) {
   Simulation sim;
   PacketTracer tracer(&sim);

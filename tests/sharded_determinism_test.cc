@@ -7,6 +7,7 @@
 // zone batching itself.
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -21,6 +22,12 @@ namespace {
 struct FleetResult {
   std::vector<SpeakerStats> stats;
   std::vector<std::vector<float>> rendered;
+  // Per speaker: its zone, and the decoded block of every segment its
+  // recorder played, in play order. Holding the blocks keeps their
+  // addresses distinct, so identity still means something after the
+  // system is gone.
+  std::vector<int> zone;
+  std::vector<std::vector<PcmBlock>> blocks;
   SegmentStats lan;
   uint64_t messages_posted = 0;
   // (at, stream, seq, stage, node): a total order over trace events that is
@@ -46,13 +53,22 @@ bool operator==(const SpeakerStats& a, const SpeakerStats& b) {
 
 FleetResult CollectResult(EthernetSpeakerSystem& system) {
   FleetResult result;
-  for (const auto& speaker : system.speakers()) {
+  for (size_t i = 0; i < system.speakers().size(); ++i) {
+    EthernetSpeaker* speaker = system.speakers()[i].get();
     result.stats.push_back(speaker->stats());
     // A speaker whose every subscription was dropped has no output to
     // render; an empty window still participates in the comparison.
     result.rendered.push_back(
         speaker->ready() ? speaker->output()->Render(Seconds(1), Seconds(2))
                          : std::vector<float>());
+    result.zone.push_back(system.ZoneOf(i));
+    result.blocks.emplace_back();
+    if (speaker->ready()) {
+      for (const OutputRecorder::Segment& segment :
+           speaker->output()->segments()) {
+        result.blocks.back().push_back(segment.block);
+      }
+    }
   }
   result.lan = system.lan()->stats();
   result.messages_posted = system.shards()->messages_posted();
@@ -155,6 +171,32 @@ void ExpectIdentical(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.trace_events, b.trace_events);
 }
 
+// A zone decodes each packet once: speakers of one zone play the same
+// block for the same chunk, and speakers of different zones never share a
+// block. Returns how many speaker pairs shared their blocks.
+int ExpectOneDecodePerZone(const FleetResult& result) {
+  int sharing_pairs = 0;
+  for (size_t a = 0; a < result.blocks.size(); ++a) {
+    for (size_t b = a + 1; b < result.blocks.size(); ++b) {
+      const std::vector<PcmBlock>& x = result.blocks[a];
+      const std::vector<PcmBlock>& y = result.blocks[b];
+      if (result.zone[a] == result.zone[b]) {
+        EXPECT_EQ(x, y) << "speakers " << a << " and " << b
+                        << " share a zone but decoded separately";
+        sharing_pairs += !x.empty() && x == y;
+        continue;
+      }
+      const std::set<PcmBlock> seen(x.begin(), x.end());
+      for (const PcmBlock& block : y) {
+        EXPECT_EQ(seen.count(block), 0u)
+            << "speakers " << a << " and " << b
+            << " are in different zones but share a block";
+      }
+    }
+  }
+  return sharing_pairs;
+}
+
 TEST(ShardedDeterminismTest, OneShardAndFourShardsAreBitIdentical) {
   FleetResult classic = RunFleet(/*zones=*/1, /*threads=*/1);
   FleetResult sharded = RunFleet(/*zones=*/4, /*threads=*/1);
@@ -162,12 +204,17 @@ TEST(ShardedDeterminismTest, OneShardAndFourShardsAreBitIdentical) {
   EXPECT_EQ(classic.messages_posted, 0u);
   EXPECT_GT(sharded.messages_posted, 0u);  // The zone path actually ran.
   ExpectIdentical(classic, sharded);
+  // One zone: all five speakers play one block per chunk.
+  EXPECT_EQ(ExpectOneDecodePerZone(classic), 10);
 }
 
 TEST(ShardedDeterminismTest, ExecutorWidthDoesNotChangeResults) {
   FleetResult inline_run = RunFleet(/*zones=*/4, /*threads=*/1);
   FleetResult threaded_run = RunFleet(/*zones=*/4, /*threads=*/4);
   ExpectIdentical(inline_run, threaded_run);
+  // Four zones: only zone 0 has two members (speakers 0 and 4).
+  EXPECT_EQ(ExpectOneDecodePerZone(inline_run), 1);
+  EXPECT_EQ(ExpectOneDecodePerZone(threaded_run), 1);
 }
 
 TEST(ShardedDeterminismTest, JitteredDeliveriesStayBitIdentical) {

@@ -1,6 +1,13 @@
 // Unit tests for the Ethernet Speaker internals: the output recorder, the
 // speaker state machine driven by hand-crafted datagrams (no producer
 // needed), and the §5.2 auto-volume controller.
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/audio/analysis.h"
@@ -10,6 +17,7 @@
 #include "src/speaker/auto_volume.h"
 #include "src/speaker/playback.h"
 #include "src/speaker/speaker.h"
+#include "src/speaker/speaker_zone.h"
 
 namespace espk {
 namespace {
@@ -33,6 +41,35 @@ TEST(OutputRecorderTest, GainAppliedAtPlayTime) {
   rec.Play(0, {1.0f}, 0.25f);
   std::vector<float> out = rec.Render(0, Milliseconds(1));
   EXPECT_FLOAT_EQ(out[0], 0.25f);
+}
+
+// The recorder keeps samples before gain and applies it on read; what it
+// reads back must be the exact float product an in-place multiply gives.
+TEST(OutputRecorderTest, GainOnReadMatchesGainInPlaceBitForBit) {
+  constexpr float kGain = 0.3f;
+  std::vector<float> samples(800);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = std::sin(0.37f * static_cast<float>(i)) * 0.9f;
+  }
+  std::vector<float> scaled = samples;
+  for (float& s : scaled) {
+    s *= kGain;
+  }
+  OutputRecorder rec(8000, 1);
+  rec.Play(0, samples, kGain);
+
+  const std::vector<float> out = rec.Render(0, Milliseconds(100));
+  ASSERT_EQ(out.size(), scaled.size());
+  EXPECT_EQ(std::memcmp(out.data(), scaled.data(),
+                        scaled.size() * sizeof(float)),
+            0);
+
+  double acc = 0.0;
+  for (float s : scaled) {
+    acc += static_cast<double>(s) * s;
+  }
+  EXPECT_EQ(rec.RecentRms(Milliseconds(100), Milliseconds(100)),
+            std::sqrt(acc / static_cast<double>(scaled.size())));
 }
 
 TEST(OutputRecorderTest, CountGapsFindsDropouts) {
@@ -389,6 +426,131 @@ TEST(SpeakerTest, TrafficOnUnsubscribedGroupIsIgnored) {
   h.DeliverTo(stray, h.MakeData(0, Milliseconds(100), 800, /*stream_id=*/9));
   h.sim_.Run();
   EXPECT_EQ(h.speaker_.stats().chunks_played, 0u);
+}
+
+// ------------------------------------------- Zone members share decodes --
+
+// A SpeakerZone fed batches by hand: every member subscribed to one group
+// on its own NIC of a bare segment, each admitted at the batch instant.
+class ZoneHarness {
+ public:
+  explicit ZoneHarness(int members) : segment_(&sim_, SegmentConfig{}) {
+    for (int i = 0; i < members; ++i) {
+      nics_.push_back(segment_.CreateNic());
+      SpeakerOptions options;
+      options.name = "es" + std::to_string(i);
+      speakers_.push_back(std::make_unique<EthernetSpeaker>(
+          &sim_, nics_.back().get(), options));
+      (void)speakers_.back()->Subscribe(kFirstChannelGroup);
+      zone_.AddSpeaker(nics_.back().get(), speakers_.back().get());
+    }
+  }
+
+  void Deliver(const Packet& packet, std::vector<int> members) {
+    Datagram d;
+    d.group = kFirstChannelGroup;
+    d.payload = SerializePacket(packet, {});
+    std::vector<ZoneDeliveryEntry> entries;
+    for (int member : members) {
+      entries.push_back(ZoneDeliveryEntry{member, sim_.now()});
+    }
+    zone_.DeliverBatch(d, std::move(entries));
+  }
+
+  ControlPacket MakeControl(const AudioConfig& config, uint8_t quality) {
+    ControlPacket control;
+    control.stream_id = 1;
+    control.control_seq = 1;
+    control.producer_clock = sim_.now();
+    control.config = config;
+    control.codec = CodecId::kRaw;
+    control.quality = quality;
+    return control;
+  }
+
+  // The one segment a member played, or null when it played none.
+  const OutputRecorder::Segment* Played(int member) {
+    const OutputRecorder* out = speakers_[static_cast<size_t>(member)]->output();
+    return out != nullptr && out->segments().size() == 1
+               ? &out->segments().front()
+               : nullptr;
+  }
+
+  Simulation sim_;
+  EthernetSegment segment_;
+  SpeakerZone zone_{&sim_};
+  std::vector<std::unique_ptr<SimNic>> nics_;
+  std::vector<std::unique_ptr<EthernetSpeaker>> speakers_;
+};
+
+// Members whose sessions decode with the same parameters play one block;
+// a member that saw a different config or quality decodes on its own, with
+// its own decoder's result.
+TEST(SpeakerZoneTest, MembersWithDifferentDecodersDecodeSeparately) {
+  const AudioConfig s16{8000, 1, AudioEncoding::kLinearS16};
+  const AudioConfig u8{8000, 1, AudioEncoding::kLinearU8};
+  ZoneHarness h(4);
+  h.Deliver(h.MakeControl(s16, 5), {0, 1});
+  h.Deliver(h.MakeControl(s16, 7), {2});
+  h.Deliver(h.MakeControl(u8, 7), {3});
+
+  DataPacket data;
+  data.stream_id = 1;
+  data.seq = 0;
+  data.play_deadline = Milliseconds(100);
+  data.frame_count = 400;
+  data.payload = SineGenerator(440.0).GenerateBytes(400, s16);
+  h.Deliver(data, {0, 1, 2, 3});
+  h.sim_.Run();
+
+  // Admission order is the decode order: member 2 differs from the decode
+  // before it only in quality, member 3 only in config.
+  const OutputRecorder::Segment* same[] = {h.Played(0), h.Played(1)};
+  const OutputRecorder::Segment* other_quality = h.Played(2);
+  const OutputRecorder::Segment* other_config = h.Played(3);
+  ASSERT_NE(same[0], nullptr);
+  ASSERT_NE(same[1], nullptr);
+  ASSERT_NE(other_config, nullptr);
+  ASSERT_NE(other_quality, nullptr);
+  EXPECT_EQ(same[0]->block, same[1]->block);
+  EXPECT_NE(other_config->block, same[0]->block);
+  EXPECT_NE(other_quality->block, same[0]->block);
+  EXPECT_NE(other_quality->block, other_config->block);
+
+  // Each block is what the member's own decoder makes of the payload.
+  for (auto [segment, config] :
+       {std::pair{same[0], s16}, std::pair{other_config, u8},
+        std::pair{other_quality, s16}}) {
+    auto decoder = CreateDecoder(CodecId::kRaw, config, 5);
+    ASSERT_TRUE(decoder.ok());
+    Result<std::vector<float>> expected = (*decoder)->DecodePacket(data.payload);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(*segment->block, *expected);
+  }
+  EXPECT_NE(*other_config->block, *same[0]->block);
+}
+
+// A failed decode is never shared: every member that receives a corrupt
+// payload counts its own decode error, and none plays anything.
+TEST(SpeakerZoneTest, CorruptPayloadCountsAnErrorOnEveryMember) {
+  const AudioConfig s16{8000, 1, AudioEncoding::kLinearS16};
+  ZoneHarness h(3);
+  h.Deliver(h.MakeControl(s16, 10), {0, 1, 2});
+  DataPacket bad;
+  bad.stream_id = 1;
+  bad.seq = 0;
+  bad.play_deadline = Milliseconds(100);
+  bad.frame_count = 400;
+  // One byte short of whole 16-bit samples: the raw decoder rejects it.
+  bad.payload = Bytes(799, 0x11);
+  h.Deliver(bad, {0, 1, 2});
+  h.sim_.Run();
+  for (int i = 0; i < 3; ++i) {
+    const EthernetSpeaker& speaker = *h.speakers_[static_cast<size_t>(i)];
+    EXPECT_EQ(speaker.stats().decode_errors, 1u) << "member " << i;
+    EXPECT_EQ(speaker.stats().chunks_played, 0u) << "member " << i;
+    EXPECT_EQ(speaker.queued_pcm_bytes(), 0u) << "member " << i;
+  }
 }
 
 // ------------------------------------------------------------ AutoVolume --
