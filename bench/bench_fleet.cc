@@ -1,7 +1,7 @@
 // Fleet-scale throughput of the zone runtime: the same fleet (one channel,
 // N tuned speakers, music-like source) is driven for a fixed stretch of
 // simulated time with every speaker in one zone (zones=1: one event loop)
-// and split over 4 zones (4 per-zone event loops, SPSC handoff, epoch
+// and split over 4 zones (4 per-zone event loops, per-link inboxes, epoch
 // barriers), and the host-side wall clock per delivered packet is reported
 // for both. Either way each zone posts ONE message per packet, parses once,
 // and runs one grouped decode/play event per distinct instant.

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification pipeline, the same stages a CI runner executes:
 #
+#   0. Layering check: no file under src/ includes a path under bench/,
+#      tests/ or perfbench/ — the libraries must build from src/ alone.
 #   1. Debug build with ASan+UBSan (the ESPK_SANITIZE cache option) and the
 #      full ctest suite — memory and UB bugs in the zero-copy buffer path
 #      (refcount mistakes, slices outliving buffers) fail here loudly.
-#   2. TSan build of the sharded-runtime suite — the executor, SPSC ring,
-#      timer wheel, and the width-N determinism test all run under
+#   2. TSan build of the sharded-runtime suite — the executor, the shard
+#      inboxes, the timer wheel, and the width-N determinism test run under
 #      ThreadSanitizer, plus the span and health suites whose sharded cases
 #      read zone state from barrier hooks (the merged-mirror observability
 #      path). The sharded runtime's bit-identity claim rests on the
@@ -50,6 +52,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
+echo "==> [0/9] Layering: src/ includes nothing from bench/, tests/, perfbench/"
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*["<](bench|tests|perfbench)/' src; then
+  echo "FAIL: a file under src/ includes a bench/, tests/ or perfbench/ path"
+  exit 1
+fi
+
 echo "==> [1/9] Debug + ASan/UBSan: configure, build, ctest"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -62,10 +70,9 @@ cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESPK_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target \
-  spsc_queue_test timer_wheel_test shard_test sharded_determinism_test \
-  span_test health_test
+  timer_wheel_test shard_test sharded_determinism_test span_test health_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'spsc_queue_test|timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test'
+  -R 'timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test'
 
 echo "==> [3/9] Release: configure, build, bench smoke gate"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

@@ -13,7 +13,7 @@
 //      equality; this example shows the API shape).
 //   2. The runtime watches itself: EnableZoneTelemetry() registers a
 //      "zone-<z>" station per zone with epoch-duration and barrier-wait
-//      histograms, drain counts, SPSC ring spill/high-watermark gauges, and
+//      histograms, drain counts, inbox high-watermark gauges, and
 //      timer-wheel cascade counters — rendered as the fleet dashboard's
 //      "runtime" section and exported as Perfetto slices alongside the span
 //      trees.
@@ -58,8 +58,8 @@ int main() {
   }
 
   // Both planes over the sharded runtime. Default health rules include the
-  // runtime SLOs (ring-spill rate, barrier stall) on top of the usual
-  // queue-drop / deadline-miss set. The planes add no stations of their
+  // runtime barrier-stall SLO on top of the usual queue-drop /
+  // deadline-miss set. The planes add no stations of their
   // own; the runtime's "zone-<z>" stations exist only on request.
   SpanPlane* spans = system.EnableSpanTracing();
   HealthMonitor* health = system.EnableHealthMonitoring();

@@ -37,49 +37,6 @@ void SineGenerator::Generate(int64_t frames, int channels, int sample_rate,
   }
 }
 
-SquareGenerator::SquareGenerator(double frequency_hz, float amplitude)
-    : frequency_(frequency_hz), amplitude_(amplitude) {}
-
-void SquareGenerator::Generate(int64_t frames, int channels, int sample_rate,
-                               std::vector<float>* out) {
-  const double step = frequency_ / sample_rate;
-  for (int64_t f = 0; f < frames; ++f) {
-    float v = phase_ < 0.5 ? amplitude_ : -amplitude_;
-    for (int c = 0; c < channels; ++c) {
-      out->push_back(v);
-    }
-    phase_ += step;
-    if (phase_ >= 1.0) {
-      phase_ -= 1.0;
-    }
-  }
-}
-
-ChirpGenerator::ChirpGenerator(double start_hz, double end_hz,
-                               double sweep_seconds, float amplitude)
-    : start_(start_hz),
-      end_(end_hz),
-      sweep_seconds_(sweep_seconds),
-      amplitude_(amplitude) {}
-
-void ChirpGenerator::Generate(int64_t frames, int channels, int sample_rate,
-                              std::vector<float>* out) {
-  const double dt = 1.0 / sample_rate;
-  for (int64_t f = 0; f < frames; ++f) {
-    double progress = std::fmod(t_, sweep_seconds_) / sweep_seconds_;
-    double freq = start_ + (end_ - start_) * progress;
-    auto v = static_cast<float>(std::sin(phase_)) * amplitude_;
-    for (int c = 0; c < channels; ++c) {
-      out->push_back(v);
-    }
-    phase_ += kTwoPi * freq * dt;
-    if (phase_ > kTwoPi) {
-      phase_ -= kTwoPi;
-    }
-    t_ += dt;
-  }
-}
-
 WhiteNoiseGenerator::WhiteNoiseGenerator(uint64_t seed, float amplitude)
     : prng_(seed), amplitude_(amplitude) {}
 

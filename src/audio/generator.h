@@ -42,36 +42,6 @@ class SineGenerator : public SignalGenerator {
   double phase_ = 0.0;
 };
 
-// Band-limited-ish square wave (naive; fine for stress content).
-class SquareGenerator : public SignalGenerator {
- public:
-  explicit SquareGenerator(double frequency_hz, float amplitude = 0.5f);
-  void Generate(int64_t frames, int channels, int sample_rate,
-                std::vector<float>* out) override;
-
- private:
-  double frequency_;
-  float amplitude_;
-  double phase_ = 0.0;
-};
-
-// Linear frequency sweep, wraps around at the top.
-class ChirpGenerator : public SignalGenerator {
- public:
-  ChirpGenerator(double start_hz, double end_hz, double sweep_seconds,
-                 float amplitude = 0.5f);
-  void Generate(int64_t frames, int channels, int sample_rate,
-                std::vector<float>* out) override;
-
- private:
-  double start_;
-  double end_;
-  double sweep_seconds_;
-  float amplitude_;
-  double t_ = 0.0;
-  double phase_ = 0.0;
-};
-
 // White noise, independent per channel.
 class WhiteNoiseGenerator : public SignalGenerator {
  public:

@@ -100,8 +100,4 @@ PcmBuffer Resample(const PcmBuffer& in, int out_rate) {
   return out;
 }
 
-PcmBuffer ConvertFormat(const PcmBuffer& in, int out_channels, int out_rate) {
-  return Resample(ConvertChannels(in, out_channels), out_rate);
-}
-
 }  // namespace espk

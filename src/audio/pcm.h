@@ -44,10 +44,6 @@ PcmBuffer ConvertChannels(const PcmBuffer& in, int out_channels);
 // the lossy codec path never resamples.
 PcmBuffer Resample(const PcmBuffer& in, int out_rate);
 
-// Full conversion pipeline between wire configs: decode is done by the
-// caller (sample_convert); this adjusts channels then rate.
-PcmBuffer ConvertFormat(const PcmBuffer& in, int out_channels, int out_rate);
-
 }  // namespace espk
 
 #endif  // SRC_AUDIO_PCM_H_

@@ -14,7 +14,7 @@
 // to std::atomic_ref (relaxed increments; acq_rel decrement, so the last
 // owner's unref synchronizes-with the delete). Marking must happen while
 // the buffer is still touched by only its producer — the flag itself is
-// published by the same barrier/ring edge that publishes the payload.
+// published by the same barrier edge that publishes the payload.
 //
 // Debug builds guard the non-atomic path: the first shard whose event loop
 // bumps a rep's refcount becomes its recorded owner

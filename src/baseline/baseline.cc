@@ -26,10 +26,6 @@ UnicastStreamServer::UnicastStreamServer(
 
 void UnicastStreamServer::AddListener(NodeId node) { listeners_.insert(node); }
 
-void UnicastStreamServer::RemoveListener(NodeId node) {
-  listeners_.erase(node);
-}
-
 void UnicastStreamServer::Start() { task_.Start(); }
 void UnicastStreamServer::Stop() { task_.Stop(); }
 

@@ -40,7 +40,6 @@ class UnicastStreamServer {
                       int64_t packet_frames = 4096);
 
   void AddListener(NodeId node);
-  void RemoveListener(NodeId node);
   size_t listener_count() const { return listeners_.size(); }
 
   void Start();

@@ -111,10 +111,6 @@ void BootServer::SetConfigTar(const std::string& hostname, Bytes tar) {
   config_tars_[hostname] = std::move(tar);
 }
 
-Bytes BootServer::key_fingerprint() const {
-  return DigestToBytes(Sha256::Hash(server_key_));
-}
-
 void BootServer::OnDatagram(const Datagram& datagram) {
   ByteReader r(datagram.payload.data(), datagram.payload.size());
   Result<uint8_t> tag = r.ReadU8();

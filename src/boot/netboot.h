@@ -79,9 +79,6 @@ class BootServer {
   // Per-machine configuration tars, by hostname.
   void SetConfigTar(const std::string& hostname, Bytes tar);
 
-  // The fingerprint clients must have in their ramdisk to verify us.
-  Bytes key_fingerprint() const;
-
   uint64_t image_chunks_served() const { return image_chunks_served_; }
   uint64_t configs_served() const { return configs_served_; }
 

@@ -18,9 +18,8 @@ constexpr SimDuration kSpanFlushPeriod = Milliseconds(250);
 constexpr SimDuration kRuleWindow = Seconds(1);
 constexpr SimDuration kRuleFor = Milliseconds(200);
 constexpr SimDuration kRuleClear = Milliseconds(300);
-constexpr double kSyncDriftP99Ms = 15.0;      // speaker.<i>.sync_drift
-constexpr double kRingSpillRatePerSec = 1.0;  // runtime.ring_spill_rate
-constexpr double kBarrierStallMs = 250.0;     // runtime.barrier_stall
+constexpr double kSyncDriftP99Ms = 15.0;   // speaker.<i>.sync_drift
+constexpr double kBarrierStallMs = 250.0;  // runtime.barrier_stall
 
 ShardGroup::Options MakeShardOptions(const SystemOptions& options) {
   ShardGroup::Options shard_options;
@@ -439,25 +438,9 @@ HealthMonitor* EthernetSpeakerSystem::EnableHealthMonitoring(
   }
 
   if (zones() > 1 && rules.runtime_rules) {
-    // Runtime self-telemetry rules. Ring spills are deterministic counters;
-    // barrier stall is wall-clock and will vary run to run (disable
-    // runtime_rules when comparing alert logs across runs).
-    ShardGroup* sh = &shards_;
-    health_->WatchReader("runtime.ring_spills", [sh] {
-      return static_cast<double>(sh->ring_spills());
-    });
-    health_->AddRule(
-        {.name = "runtime.ring_spill_rate",
-         .series = "runtime.ring_spills",
-         .aggregate = AlertAggregate::kRatePerSec,
-         .comparison = AlertComparison::kAbove,
-         .threshold = kRingSpillRatePerSec,
-         .window = kRuleWindow,
-         .for_duration = kRuleFor,
-         .clear_duration = kRuleClear,
-         .help = "Cross-shard inboxes are overflowing into the spill vector "
-                 "(a zone receives more messages per epoch than a ring "
-                 "holds)"});
+    // Runtime self-telemetry rule. Barrier stall is wall-clock and will vary
+    // run to run (disable runtime_rules when comparing alert logs across
+    // runs).
     ZoneCollector* zc = BuildZoneCollector();
     health_->WatchReader("runtime.barrier_wait_ms", [zc] {
       return zc->last_barrier_wait_ms();

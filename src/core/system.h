@@ -135,13 +135,11 @@ class EthernetSpeakerSystem {
     double deadline_miss_rate_per_sec = 5.0;  // speaker.<i>.deadline_miss_rate
     double jitter_low_watermark_bytes = 1.0;  // speaker.<i>.jitter_low_watermark
     double silence_ms_per_sec = 50.0;         // speaker.<i>.silence_rate
-    // Sharded-runtime self-telemetry rules (runtime.ring_spill_rate,
-    // runtime.barrier_stall), installed only with more than one zone (ring
-    // spills and barrier waits only exist there). The ring-spill rule
-    // watches a deterministic counter; the barrier-stall rule watches
-    // *wall-clock* barrier waits, which vary run to run — set
-    // runtime_rules = false when comparing alert logs across runs (the
-    // bit-identity tests do).
+    // Sharded-runtime self-telemetry rule (runtime.barrier_stall),
+    // installed only with more than one zone (barrier waits only exist
+    // there). It watches *wall-clock* barrier waits, which vary run to run
+    // — set runtime_rules = false when comparing alert logs across runs
+    // (the bit-identity tests do).
     bool runtime_rules = true;
   };
 

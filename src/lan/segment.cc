@@ -175,8 +175,8 @@ void EthernetSegment::FlushZoneBatches(const Datagram& datagram) {
     // One message per (packet, zone): the zone's members share one payload
     // reference and one scheduled event instead of one each. A zone off the
     // home shard needs the payload's refcount flipped atomic before the
-    // slice crosses; the flag is published by the same ring/barrier edge
-    // that publishes the message.
+    // slice crosses; the flag is published by the same barrier edge that
+    // publishes the message.
     Datagram copy = datagram;
     if (static_cast<int>(shard) != home_shard_) {
       copy.payload.MarkCrossShard();

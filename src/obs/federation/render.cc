@@ -149,9 +149,9 @@ std::string RenderRuntimeSection(const FleetStore& store) {
       continue;
     }
     if (!any) {
-      std::snprintf(line, sizeof(line), "%-8s %8s %10s %10s %10s %9s %7s %9s",
+      std::snprintf(line, sizeof(line), "%-8s %8s %10s %10s %10s %9s %9s",
                     "zone", "epochs", "run_p50us", "run_p99us", "wait_p99us",
-                    "drained", "spills", "inbox_hwm");
+                    "drained", "inbox_hwm");
       os << line << "\n";
       any = true;
     }
@@ -164,13 +164,12 @@ std::string RenderRuntimeSection(const FleetStore& store) {
       return sample == nullptr ? 0.0 : sample->histogram.Percentile(q);
     };
     std::snprintf(line, sizeof(line),
-                  "%-8s %8.0f %10.1f %10.1f %10.1f %9.0f %7.0f %9.0f",
+                  "%-8s %8.0f %10.1f %10.1f %10.1f %9.0f %9.0f",
                   station.c_str(), value("runtime.epochs"),
                   quantile("runtime.epoch_run_us", 0.5),
                   quantile("runtime.epoch_run_us", 0.99),
                   quantile("runtime.barrier_wait_us", 0.99),
                   value("runtime.drained_messages"),
-                  value("runtime.ring_spills"),
                   value("runtime.inbox_high_watermark"));
     os << line << "\n";
   }

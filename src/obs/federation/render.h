@@ -45,8 +45,8 @@ std::string RenderFleetDashboard(const FleetStore& store, SimTime now,
 
 // One row per "zone-<z>" station with the sharded runtime's
 // self-telemetry: epochs run, run-phase p50/p99 and barrier-wait p99 (us,
-// wall clock), cross-shard messages drained, ring spills, and the inbox
-// high-watermark. Empty string when the store has no zone stations.
+// wall clock), cross-shard messages drained, and the inbox high-watermark.
+// Empty string when the store has no zone stations.
 std::string RenderRuntimeSection(const FleetStore& store);
 
 }  // namespace espk

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench/json_lite.h"
+#include "src/base/json_writer.h"
 #include "src/base/logging.h"
 
 namespace espk {
@@ -174,15 +174,21 @@ void FlightRecorder::OnTransition(const AlertTransition& transition) {
     postmortem.path = options_.output_dir + "/postmortem_" +
                       SanitizeForFilename(transition.rule) + "_" + at_ms +
                       ".json";
+    // A short write (a full disk, a file-size limit) or a failed flush on
+    // close leaves a truncated file: it counts as a failure like a failed
+    // open, and the postmortem keeps no path.
     std::FILE* f = std::fopen(postmortem.path.c_str(), "w");
-    if (f == nullptr) {
+    bool written = false;
+    if (f != nullptr) {
+      written = std::fwrite(postmortem.json.data(), 1, postmortem.json.size(),
+                            f) == postmortem.json.size();
+      written = std::fclose(f) == 0 && written;
+    }
+    if (!written) {
       ESPK_LOG(kError) << "flight recorder: cannot write "
                        << postmortem.path;
       ++write_failures_;
       postmortem.path.clear();
-    } else {
-      std::fwrite(postmortem.json.data(), 1, postmortem.json.size(), f);
-      std::fclose(f);
     }
   }
   postmortems_.push_back(std::move(postmortem));

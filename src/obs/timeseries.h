@@ -103,8 +103,8 @@ class TimeSeriesSampler {
                               const Metric* metric, double q);
 
   // Samples an arbitrary reader under `series_name` — for signals that live
-  // outside any metrics registry, like the sharded runtime's ring-spill and
-  // barrier-wait readings from the ZoneCollector.
+  // outside any metrics registry, like the sharded runtime's barrier-wait
+  // reading from the ZoneCollector.
   TimeSeries* WatchReader(const std::string& series_name,
                           std::function<double()> read);
 

@@ -99,7 +99,6 @@ void ZoneCollector::OnBarrier(const ShardGroup::EpochRecord& record) {
     snap.barrier_wait_ns += stats.barrier_wait_ns;
     snap.drained = shards_->zone_messages_drained(z);
     snap.messages_posted = shards_->zone_messages_posted(z);
-    snap.ring_spills = shards_->zone_ring_spills(z);
     snap.inbox_high_watermark = shards_->zone_inbox_high_watermark(z);
     snap.events_processed = shards_->sim(z)->events_processed();
     snap.timer_cascades = shards_->sim(z)->timer_cascades();
@@ -150,10 +149,6 @@ void ZoneCollector::Drive(SimDuration period, std::function<void()> fire) {
   driven_.push_back(std::move(driven));
 }
 
-double ZoneCollector::ring_spills() const {
-  return static_cast<double>(shards_->ring_spills());
-}
-
 void ZoneCollector::RegisterZoneStation(int zone, MetricsRegistry* registry) {
   ZoneSnapshot* snap = &zones_[static_cast<size_t>(zone)];
   registry->GetGauge(
@@ -201,13 +196,9 @@ void ZoneCollector::RegisterZoneStation(int zone, MetricsRegistry* registry) {
       [snap] { return static_cast<double>(snap->messages_posted); },
       "Cross-shard messages posted to this zone");
   registry->GetGauge(
-      "runtime.ring_spills",
-      [snap] { return static_cast<double>(snap->ring_spills); },
-      "Inbound SPSC ring overflows into the spill vector");
-  registry->GetGauge(
       "runtime.inbox_high_watermark",
       [snap] { return static_cast<double>(snap->inbox_high_watermark); },
-      "Peak single-link inbox occupancy (ring + spill)");
+      "Peak single-link inbox size at post time");
   registry->GetGauge(
       "runtime.events_processed",
       [snap] { return static_cast<double>(snap->events_processed); },

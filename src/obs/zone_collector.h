@@ -13,8 +13,8 @@
 //     independent of executor width. The span exporter and flight recorder
 //     observe only the mirror.
 //  2. Snapshots runtime self-telemetry per zone — epoch run / barrier-wait
-//     wall time (histograms), drained message counts, SPSC ring
-//     spills/high-watermark, events processed, timer-wheel cascades, and
+//     wall time (histograms), drained message counts, the inbox
+//     high-watermark, events processed, timer-wheel cascades, and
 //     per-zone tracer ring health — for the per-zone station registries
 //     ("zone-<z>") that EnableZoneTelemetry() creates and the federation
 //     plane scrapes like any speaker.
@@ -79,10 +79,10 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   // Registers the runtime metric catalog for `zone` on its station registry:
   // runtime.epochs, runtime.epoch_run_us / runtime.barrier_wait_us
   // (histograms plus .p50/.p99 gauges), runtime.drained_messages,
-  // runtime.messages_posted, runtime.ring_spills,
-  // runtime.inbox_high_watermark, runtime.events_processed,
-  // runtime.timer_cascades, runtime.trace_recorded / trace_dropped /
-  // trace_ring. Zone 0 additionally carries the group-wide gauges:
+  // runtime.messages_posted, runtime.inbox_high_watermark,
+  // runtime.events_processed, runtime.timer_cascades,
+  // runtime.trace_recorded / trace_dropped / trace_ring. Zone 0
+  // additionally carries the group-wide gauges:
   // runtime.executor_workers / executor_busy_ms / executor_utilization and
   // runtime.merged_trace_events / merge_lost. All gauges read barrier-time
   // snapshots, so scraping them mid-epoch from another shard is safe.
@@ -93,9 +93,8 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   // barrier landing exactly on the tick instant.
   void Drive(SimDuration period, std::function<void()> fire);
 
-  // Readers for the default runtime SLO rules. Ring spills are part of the
-  // deterministic results; barrier waits are wall clock (vary run to run).
-  double ring_spills() const;
+  // Reader for the default runtime.barrier_stall SLO rule: wall clock, so it
+  // varies run to run.
   double last_barrier_wait_ms() const { return last_barrier_wait_ms_; }
 
   uint64_t events_merged() const { return events_merged_; }
@@ -114,7 +113,6 @@ class ZoneCollector : public ShardGroup::BarrierHook {
     uint64_t barrier_wait_ns = 0;
     uint64_t drained = 0;
     uint64_t messages_posted = 0;
-    uint64_t ring_spills = 0;
     uint64_t inbox_high_watermark = 0;
     uint64_t events_processed = 0;
     uint64_t timer_cascades = 0;

@@ -40,7 +40,6 @@ class WanAudioServer {
                  SimDuration chunk_interval = Milliseconds(100));
 
   void AddListener(NodeId node) { listeners_.insert(node); }
-  void RemoveListener(NodeId node) { listeners_.erase(node); }
   size_t listener_count() const { return listeners_.size(); }
 
   void Start() { task_.Start(); }

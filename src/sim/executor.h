@@ -9,8 +9,8 @@
 // barrier of src/sim/shard.h: the mutex/condvar handshake gives
 // happens-before between everything shard i wrote during one phase and
 // everything any shard reads in the next, which is what lets the
-// cross-shard spill vectors (and the epoch bookkeeping) stay plain
-// non-atomic data.
+// cross-shard inboxes (and the epoch bookkeeping) stay plain non-atomic
+// data.
 //
 // With `threads <= 1` no threads are spawned and ParallelFor degenerates to
 // a serial loop on the caller. That is the mode a single-core host (or a

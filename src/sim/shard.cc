@@ -26,14 +26,7 @@ ShardGroup::ShardGroup(const Options& options)
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Simulation>());
   }
-  links_.resize(n * n);  // Diagonal stays null; a shard never posts itself.
-  for (size_t src = 0; src < n; ++src) {
-    for (size_t dst = 0; dst < n; ++dst) {
-      if (src != dst) {
-        links_[src * n + dst] = std::make_unique<Link>(options.inbox_capacity);
-      }
-    }
-  }
+  links_.resize(n * n);  // A shard never posts itself: the diagonal idles.
   drain_scratch_.resize(n);
   epoch_stats_.resize(n);
   run_finish_tp_.resize(n);
@@ -58,18 +51,8 @@ void ShardGroup::Post(int src, int dst, SimTime at, std::function<void()> fn) {
   m.seq = link.next_seq++;
   m.fn = std::move(fn);
   ++link.posted;
-  if (!link.ring.TryPush(std::move(m))) {
-    ++link.spilled;
-    link.spill.push_back(std::move(m));
-  }
-  // Exact and deterministic despite the concurrent consumer side: the
-  // consumer only pops at the drain barrier, so head is stationary for the
-  // whole run phase.
-  const size_t occupancy =
-      link.ring.OccupancyFromProducer() + link.spill.size();
-  if (occupancy > link.high_watermark) {
-    link.high_watermark = occupancy;
-  }
+  link.inbox.push_back(std::move(m));
+  link.high_watermark = std::max(link.high_watermark, link.inbox.size());
 }
 
 SimTime ShardGroup::NextEventTime() {
@@ -146,14 +129,10 @@ void ShardGroup::DrainInto(int dst) {
       continue;
     }
     Link& link = LinkFor(src, dst);
-    Message m;
-    while (link.ring.TryPop(&m)) {
+    for (Message& m : link.inbox) {
       scratch.push_back(std::move(m));
     }
-    for (Message& spilled : link.spill) {
-      scratch.push_back(std::move(spilled));
-    }
-    link.spill.clear();
+    link.inbox.clear();
   }
   if (scratch.empty()) {
     return;
@@ -216,22 +195,10 @@ void ShardGroup::RemoveBarrierHook(BarrierHook* hook) {
   hooks_.erase(std::remove(hooks_.begin(), hooks_.end(), hook), hooks_.end());
 }
 
-uint64_t ShardGroup::ring_spills() const {
-  uint64_t total = 0;
-  for (const auto& link : links_) {
-    if (link) {
-      total += link->spilled;
-    }
-  }
-  return total;
-}
-
 uint64_t ShardGroup::messages_posted() const {
   uint64_t total = 0;
-  for (const auto& link : links_) {
-    if (link) {
-      total += link->posted;
-    }
+  for (const Link& link : links_) {
+    total += link.posted;
   }
   return total;
 }
@@ -240,22 +207,7 @@ uint64_t ShardGroup::zone_messages_posted(int dst) const {
   const size_t n = shards_.size();
   uint64_t total = 0;
   for (size_t src = 0; src < n; ++src) {
-    const auto& link = links_[src * n + static_cast<size_t>(dst)];
-    if (link) {
-      total += link->posted;
-    }
-  }
-  return total;
-}
-
-uint64_t ShardGroup::zone_ring_spills(int dst) const {
-  const size_t n = shards_.size();
-  uint64_t total = 0;
-  for (size_t src = 0; src < n; ++src) {
-    const auto& link = links_[src * n + static_cast<size_t>(dst)];
-    if (link) {
-      total += link->spilled;
-    }
+    total += links_[src * n + static_cast<size_t>(dst)].posted;
   }
   return total;
 }
@@ -268,10 +220,8 @@ size_t ShardGroup::zone_inbox_high_watermark(int dst) const {
   const size_t n = shards_.size();
   size_t high = 0;
   for (size_t src = 0; src < n; ++src) {
-    const auto& link = links_[src * n + static_cast<size_t>(dst)];
-    if (link && link->high_watermark > high) {
-      high = link->high_watermark;
-    }
+    high = std::max(
+        high, links_[src * n + static_cast<size_t>(dst)].high_watermark);
   }
   return high;
 }

@@ -2,8 +2,8 @@
 // conservative lookahead barrier. Each shard is a Simulation (its own
 // virtual clock + timer wheel) hosting one zone of the fleet; a ShardGroup
 // advances all shards in lockstep epochs and ferries cross-shard work
-// through SPSC rings. A one-shard group is an ordinary event loop driven in
-// lookahead-sized epochs (nothing ever crosses a ring).
+// through per-link inboxes. A one-shard group is an ordinary event loop
+// driven in lookahead-sized epochs (no link exists, so nothing crosses).
 //
 // Conservative PDES, concretely: the only way shards influence each other
 // is Post(src, dst, at, fn) — deliver `fn` on shard `dst` at time `at` —
@@ -26,11 +26,11 @@
 // because a message posted by an event at time t lands at >= t + lookahead).
 //
 // Memory model: during an epoch, shard i's state is touched only by the
-// executor thread running shard i. The SPSC rings (src/base/spsc_queue.h)
-// carry the fast-path handoff with acquire/release; a ring that fills spills
-// into a plain per-link vector, which is safe without a lock because
-// producers append only during the run phase and consumers drain only after
-// the barrier — the executor's barrier provides the happens-before edge.
+// executor thread running shard i. Each directed link's inbox is a plain
+// vector, safe without a lock or atomics because the phases never overlap:
+// only the src shard appends, and only during the run phase; only the dst
+// shard drains, and only after the run barrier — the executor's barrier
+// provides the happens-before edge.
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
 
@@ -40,7 +40,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/base/spsc_queue.h"
 #include "src/base/time_types.h"
 #include "src/sim/executor.h"
 #include "src/sim/simulation.h"
@@ -59,9 +58,6 @@ class ShardGroup {
     // fully inline (no threads) — same results either way. Workers are not
     // pinned to cores.
     int threads = 1;
-    // Per-link SPSC ring capacity (messages); overflow spills to a vector.
-    // The system keeps this default.
-    size_t inbox_capacity = 1024;
   };
 
   // Wall-clock cost of one zone's last epoch, measured only while at least
@@ -131,22 +127,22 @@ class ShardGroup {
   void RunUntil(SimTime t);
   void RunFor(SimDuration d) { RunUntil(now() + d); }
 
-  // Observability for tests and bench: epochs executed so far, total
-  // cross-shard messages, and how many overflowed a ring into the spill
-  // vector. The counters are aggregated from per-link producer-owned
-  // fields, so call these between runs, not mid-epoch.
+  // Observability for tests and bench: epochs executed so far and total
+  // cross-shard messages. The count is aggregated from per-link
+  // producer-owned fields, so call it between runs, not mid-epoch.
   uint64_t epochs_run() const { return epochs_run_; }
-  uint64_t ring_spills() const;
   uint64_t messages_posted() const;
+  // Always 0: inboxes are unbounded, so nothing overflows. Kept only
+  // because perfbench still reports it as sim.ring_spills.
+  uint64_t ring_spills() const { return 0; }
 
   // Per-zone inbound accounting, summed over every link into `dst`. Same
-  // phase discipline as the totals above: call between epochs (the fields
+  // phase discipline as the total above: call between epochs (the fields
   // are producer-owned during one), or from a BarrierHook.
   uint64_t zone_messages_posted(int dst) const;
-  uint64_t zone_ring_spills(int dst) const;
   uint64_t zone_messages_drained(int dst) const;
-  // Highest combined inbox occupancy (ring + spill vector) any single link
-  // into `dst` ever reached at post time.
+  // Highest inbox size any single link into `dst` ever reached at post
+  // time, i.e. the most messages one peer sent it in one epoch.
   size_t zone_inbox_high_watermark(int dst) const;
 
   // Hooks are fired in registration order at every barrier; RemoveBarrierHook
@@ -163,24 +159,20 @@ class ShardGroup {
     uint64_t seq = 0;  // Per (src, dst) link, assigned by the producer.
     std::function<void()> fn;
   };
-  // One directed link src -> dst. The ring is the fast path; `spill` takes
-  // overflow and is phase-separated (write in run phase, read in drain
-  // phase) rather than locked.
+  // One directed link src -> dst. The inbox is phase-separated (appended
+  // in the run phase, drained after the barrier) rather than locked.
   struct Link {
-    explicit Link(size_t capacity) : ring(capacity) {}
-    SpscQueue<Message> ring;
-    std::vector<Message> spill;
+    std::vector<Message> inbox;
     // Producer-owned bookkeeping (only the src shard's thread touches it
     // during an epoch; the barrier publishes it to everyone else).
     uint64_t next_seq = 0;
     uint64_t posted = 0;
-    uint64_t spilled = 0;
-    size_t high_watermark = 0;  // Peak ring + spill occupancy at post time.
+    size_t high_watermark = 0;  // Peak inbox size at post time.
   };
 
   Link& LinkFor(int src, int dst) {
-    return *links_[static_cast<size_t>(src) * shards_.size() +
-                   static_cast<size_t>(dst)];
+    return links_[static_cast<size_t>(src) * shards_.size() +
+                  static_cast<size_t>(dst)];
   }
   // Runs one epoch ending at `epoch_end`, including the drain phase.
   void RunEpoch(SimTime epoch_end);
@@ -194,7 +186,7 @@ class ShardGroup {
   SimTime epoch_end_ = 0;  // Valid during RunEpoch; read by Post asserts.
   bool in_epoch_ = false;
   std::vector<std::unique_ptr<Simulation>> shards_;
-  std::vector<std::unique_ptr<Link>> links_;  // shards x shards, diag unused.
+  std::vector<Link> links_;  // shards x shards, diagonal unused.
   Executor executor_;
   uint64_t epochs_run_ = 0;
   // Per-destination merge buffer, reused across epochs (drain of shard d

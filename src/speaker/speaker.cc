@@ -179,11 +179,6 @@ StreamSession* EthernetSpeaker::session(GroupId group) {
   return FindSession(group);
 }
 
-const StreamSession* EthernetSpeaker::session(GroupId group) const {
-  auto it = sessions_.find(group);
-  return it == sessions_.end() ? nullptr : it->second.get();
-}
-
 StreamSession* EthernetSpeaker::primary() {
   return subscribe_order_.empty()
              ? nullptr

@@ -257,7 +257,6 @@ class EthernetSpeaker {
   }
   // Null when not subscribed to `group`.
   StreamSession* session(GroupId group);
-  const StreamSession* session(GroupId group) const;
   // The primary subscription's group; empty when unsubscribed. (Historical
   // name: with several subscriptions this is the earliest-subscribed one.)
   std::optional<GroupId> tuned_group() const;

@@ -3,7 +3,15 @@
 // scenario — a deterministic bandwidth squeeze that drives multiple SLO
 // rules through fire -> trap-delivered -> resolve.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
+#include <deque>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -362,6 +370,131 @@ TEST(FlightRecorderTest, FiringTransitionProducesValidPostmortem) {
   EXPECT_EQ(recorder.recorded(), 1u);
 }
 
+// What a recorder writing to `output_dir` kept after one firing transition.
+struct RecordedFire {
+  uint64_t recorded = 0;
+  uint64_t write_failures = 0;
+  std::deque<Postmortem> postmortems;
+};
+
+// Fires rule "speaker.0.high" once, at 500 ms, with 300 tracer events in
+// the trace window (a postmortem of tens of kilobytes).
+RecordedFire FireOnceInto(const std::string& output_dir) {
+  Simulation sim;
+  MetricsRegistry registry(&sim);
+  Counter* signal = registry.GetCounter("sig", "test signal");
+  PacketTracer tracer(&sim);
+  TimeSeriesSampler sampler(&sim);
+  sampler.Watch("sig", signal);
+  AlertEngine engine(&sim, &sampler, &registry);
+  engine.AddRule({.name = "speaker.0.high",
+                  .series = "sig",
+                  .threshold = 10.0,
+                  .help = "signal too high"});
+  FlightRecorderOptions options;
+  options.output_dir = output_dir;
+  FlightRecorder recorder(&sim, &sampler, &engine, &tracer, &registry,
+                          options);
+  for (uint32_t seq = 0; seq < 300; ++seq) {
+    tracer.Record(1, seq, TraceStage::kEncode, 3);
+  }
+  sim.ScheduleAt(Milliseconds(500), [&] {
+    signal->Increment(42);
+    sampler.SampleNow();
+    engine.Evaluate(sim.now());
+  });
+  sim.Run();
+  return {recorder.recorded(), recorder.write_failures(),
+          recorder.postmortems()};
+}
+
+// A fresh directory under the test temp dir, removed with its contents.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    std::string name = ::testing::TempDir() + "/espk_postmortem_XXXXXX";
+    if (mkdtemp(name.data()) != nullptr) {
+      path_ = name;
+    }
+  }
+  ~ScopedTempDir() {
+    if (!path_.empty()) {
+      std::filesystem::remove_all(path_);
+    }
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+TEST(FlightRecorderTest, PostmortemFileHoldsExactlyTheDocument) {
+  ScopedTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const RecordedFire fire = FireOnceInto(dir.path());
+  ASSERT_EQ(fire.postmortems.size(), 1u);
+  const Postmortem& postmortem = fire.postmortems.front();
+  EXPECT_EQ(fire.write_failures, 0u);
+  EXPECT_EQ(postmortem.path,
+            dir.path() + "/postmortem_speaker_0_high_500.json");
+  std::ifstream file(postmortem.path, std::ios::binary);
+  ASSERT_TRUE(file.good());
+  std::ostringstream contents;
+  contents << file.rdbuf();
+  EXPECT_EQ(contents.str(), postmortem.json);
+}
+
+TEST(FlightRecorderTest, MissingOutputDirCountsAFailureAndKeepsMemoryCopy) {
+  ScopedTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const RecordedFire fire = FireOnceInto(dir.path() + "/missing");
+  EXPECT_EQ(fire.recorded, 1u);
+  EXPECT_EQ(fire.write_failures, 1u);
+  ASSERT_EQ(fire.postmortems.size(), 1u);
+  EXPECT_TRUE(fire.postmortems.front().path.empty());
+  EXPECT_TRUE(CheckJsonSyntax(fire.postmortems.front().json).ok());
+}
+
+// Lowers this process's file-size limit to `bytes` (with SIGXFSZ ignored,
+// so an oversized write fails with EFBIG instead of killing the process)
+// and restores both on scope exit.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(rlim_t bytes) {
+    std::fflush(nullptr);  // Nothing buffered may flush under the limit.
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit limited = previous_;
+    limited.rlim_cur = std::min(bytes, previous_.rlim_max);
+    applied_ = setrlimit(RLIMIT_FSIZE, &limited) == 0;
+  }
+  ~ScopedFileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  bool applied() const { return applied_; }
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = nullptr;
+  bool applied_ = false;
+};
+
+TEST(FlightRecorderTest, TruncatedPostmortemCountsAsAFailedWrite) {
+  ScopedTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  RecordedFire fire;
+  {
+    ScopedFileSizeLimit limit(16);
+    ASSERT_TRUE(limit.applied());
+    fire = FireOnceInto(dir.path());
+  }
+  EXPECT_EQ(fire.write_failures, 1u);
+  ASSERT_EQ(fire.postmortems.size(), 1u);
+  EXPECT_TRUE(fire.postmortems.front().path.empty());
+  EXPECT_GT(fire.postmortems.front().json.size(), 16u);
+}
+
 TEST(FlightRecorderTest, PostmortemRingIsBounded) {
   Simulation sim;
   MetricsRegistry registry(&sim);
@@ -608,7 +741,7 @@ TEST(HealthEndToEndTest, FaultScenarioIsBitIdenticalAcrossRuns) {
 
 // Health monitoring over a 4-zone, 4-thread sharded system: the sampler
 // ticks at epoch barriers (the TSan CI path for barrier-time gauge reads),
-// the default runtime rules install, and postmortems stay valid JSON. A
+// the default runtime rule installs, and postmortems stay valid JSON. A
 // mid-run bandwidth squeeze drives the queue-drop rule through a real fire.
 TEST(HealthEndToEndTest, ShardedMonitorTicksAtBarriers) {
   SystemOptions sys_options;
@@ -653,9 +786,8 @@ TEST(HealthEndToEndTest, ShardedMonitorTicksAtBarriers) {
                         transition.rule == "lan.queue_drop_rate");
   }
   EXPECT_TRUE(queue_drop_fired);
-  // The default runtime self-telemetry rules are installed and evaluated.
+  // The default runtime self-telemetry rule is installed and evaluated.
   const std::string status = health->StatusText();
-  EXPECT_NE(status.find("runtime.ring_spill_rate"), std::string::npos);
   EXPECT_NE(status.find("runtime.barrier_stall"), std::string::npos);
   ASSERT_FALSE(health->recorder()->postmortems().empty());
   for (const Postmortem& postmortem : health->recorder()->postmortems()) {

@@ -1,8 +1,8 @@
 // ShardGroup (src/sim/shard.h): conservative-lookahead epoch execution.
 // The properties pinned here are the sharded runtime's whole contract:
 // cross-shard posts land at the right time in a total deterministic order,
-// results are identical for any executor width, ring overflow degrades to
-// the spill path without losing or reordering anything, and the epoch
+// results are identical for any executor width, heavy traffic on one link
+// or on every link at once loses and reorders nothing, and the epoch
 // planner skips idle stretches instead of grinding through them.
 #include "src/sim/shard.h"
 
@@ -26,13 +26,12 @@ using Trace = std::vector<std::tuple<int, SimTime, int>>;  // (shard, at, token)
 // `hop_delay` later, for `hops` hops total. Returns every shard's record,
 // merged in (shard, at, token) order — any scheduling nondeterminism would
 // change per-shard contents, not merely the merge order.
-Trace RunChain(int shards, int threads, size_t inbox_capacity, int tokens,
-               int hops, SimDuration hop_delay, uint64_t* spills_out) {
+Trace RunChain(int shards, int threads, int tokens, int hops,
+               SimDuration hop_delay) {
   ShardGroup::Options options;
   options.shards = shards;
   options.threads = threads;
   options.lookahead = Microseconds(50);
-  options.inbox_capacity = inbox_capacity;
   ShardGroup group(options);
 
   std::vector<Trace> per_shard(static_cast<size_t>(shards));
@@ -65,9 +64,6 @@ Trace RunChain(int shards, int threads, size_t inbox_capacity, int tokens,
   // The last token's last hop lands at tokens - 1 + hops * hop_delay.
   group.RunUntil(tokens + hops * hop_delay);
 
-  if (spills_out != nullptr) {
-    *spills_out = group.ring_spills();
-  }
   Trace merged;
   for (const Trace& t : per_shard) {
     merged.insert(merged.end(), t.begin(), t.end());
@@ -103,7 +99,7 @@ TEST(ShardGroupTest, SameShardPostIsLocal) {
   ShardGroup group(options);
   bool ran = false;
   // A same-shard post is an ordinary ScheduleAt: no lookahead constraint,
-  // no ring traffic.
+  // no inbox traffic.
   group.Post(1, 1, Microseconds(1), [&] { ran = true; });
   group.RunUntil(Milliseconds(1));
   EXPECT_TRUE(ran);
@@ -124,32 +120,106 @@ TEST(ShardGroupTest, RunUntilAdvancesEveryShardClock) {
 TEST(ShardGroupTest, ResultsIdenticalForAnyExecutorWidth) {
   // The determinism claim, directly: same chain, executor width 1 (fully
   // inline) vs 4 (worker threads), bit-identical traces.
-  Trace inline_trace =
-      RunChain(4, 1, 64, 16, 12, Microseconds(75), nullptr);
-  Trace threaded_trace =
-      RunChain(4, 4, 64, 16, 12, Microseconds(75), nullptr);
+  Trace inline_trace = RunChain(4, 1, 16, 12, Microseconds(75));
+  Trace threaded_trace = RunChain(4, 4, 16, 12, Microseconds(75));
   ASSERT_FALSE(inline_trace.empty());
   EXPECT_EQ(inline_trace, threaded_trace);
   // And run-to-run stability at the same width.
-  Trace threaded_again =
-      RunChain(4, 4, 64, 16, 12, Microseconds(75), nullptr);
+  Trace threaded_again = RunChain(4, 4, 16, 12, Microseconds(75));
   EXPECT_EQ(threaded_trace, threaded_again);
 }
 
-TEST(ShardGroupTest, RingOverflowSpillsWithoutLossOrReorder) {
-  // A 2-slot ring with 64 tokens in flight must overflow; the spill path
-  // has to deliver the identical trace a roomy ring produces.
-  uint64_t spills = 0;
-  Trace tiny_ring =
-      RunChain(2, 1, 2, 64, 6, Microseconds(60), &spills);
-  EXPECT_GT(spills, 0u);
-  Trace big_ring =
-      RunChain(2, 1, 4096, 64, 6, Microseconds(60), nullptr);
-  EXPECT_EQ(tiny_ring, big_ring);
-  // Threaded + spilling together, still identical.
-  Trace tiny_ring_threaded =
-      RunChain(2, 2, 2, 64, 6, Microseconds(60), nullptr);
-  EXPECT_EQ(tiny_ring, tiny_ring_threaded);
+TEST(ShardGroupTest, HeavyTrafficOnOneLinkLosesAndReordersNothing) {
+  // 5000 tokens start within 5 us, inside the first 50 us epoch, so the
+  // 0 -> 1 link carries all of them in one epoch; every hop must still land
+  // on the right shard at the right time.
+  constexpr int kTokens = 5000;
+  constexpr int kHops = 6;
+  const SimDuration delay = Microseconds(60);
+  Trace expected;
+  for (int token = 0; token < kTokens; ++token) {
+    for (int hop = 0; hop <= kHops; ++hop) {
+      expected.emplace_back(hop % 2, token + hop * delay, token);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  Trace inline_trace = RunChain(2, 1, kTokens, kHops, delay);
+  EXPECT_EQ(inline_trace.size(), 7u * kTokens);
+  EXPECT_EQ(inline_trace, expected);
+  EXPECT_EQ(RunChain(2, 2, kTokens, kHops, delay), inline_trace);
+}
+
+// Every shard posts `per_link` messages to every other shard inside the
+// first epoch, all shards at the same instants, so every link is written
+// at once and each drain has to order same-instant messages from several
+// sources. Returns each shard's deliveries in execution order, shard by
+// shard (no re-sorting: the drain order itself is under test).
+Trace RunAllToAll(int shards, int threads, int per_link,
+                  uint64_t* posted_out, size_t* high_watermark_out) {
+  ShardGroup::Options options;
+  options.shards = shards;
+  options.threads = threads;
+  options.lookahead = Microseconds(50);
+  ShardGroup group(options);
+  std::vector<Trace> per_shard(static_cast<size_t>(shards));
+  for (int src = 0; src < shards; ++src) {
+    for (int i = 0; i < per_link; ++i) {
+      group.sim(src)->ScheduleAt(10 * i, [&group, &per_shard, shards, src,
+                                          i] {
+        const SimTime at = group.sim(src)->now() + Microseconds(60);
+        for (int dst = 0; dst < shards; ++dst) {
+          if (dst == src) {
+            continue;
+          }
+          group.Post(src, dst, at, [&group, &per_shard, src, dst, i] {
+            per_shard[static_cast<size_t>(dst)].emplace_back(
+                dst, group.sim(dst)->now(), src * 1000 + i);
+          });
+        }
+      });
+    }
+  }
+  group.RunUntil(Milliseconds(1));
+  *posted_out = group.messages_posted();
+  *high_watermark_out = 0;
+  for (int z = 0; z < shards; ++z) {
+    *high_watermark_out =
+        std::max(*high_watermark_out, group.zone_inbox_high_watermark(z));
+  }
+  Trace merged;
+  for (const Trace& t : per_shard) {
+    merged.insert(merged.end(), t.begin(), t.end());
+  }
+  return merged;
+}
+
+TEST(ShardGroupTest, AllToAllTrafficDrainsInTotalOrder) {
+  // 4 shards x 3 peers x 300 messages, all 12 links written in one epoch.
+  constexpr int kShards = 4;
+  constexpr int kPerLink = 300;
+  // Same-instant messages run in source-shard order on every destination.
+  Trace expected;
+  for (int dst = 0; dst < kShards; ++dst) {
+    for (int i = 0; i < kPerLink; ++i) {
+      for (int src = 0; src < kShards; ++src) {
+        if (src != dst) {
+          expected.emplace_back(dst, 10 * i + Microseconds(60),
+                                src * 1000 + i);
+        }
+      }
+    }
+  }
+  uint64_t posted = 0;
+  size_t high_watermark = 0;
+  Trace inline_trace =
+      RunAllToAll(kShards, 1, kPerLink, &posted, &high_watermark);
+  EXPECT_EQ(posted, 3600u);
+  EXPECT_EQ(high_watermark, 300u);
+  EXPECT_EQ(inline_trace, expected);
+  Trace threaded_trace =
+      RunAllToAll(kShards, 4, kPerLink, &posted, &high_watermark);
+  EXPECT_EQ(posted, 3600u);
+  EXPECT_EQ(threaded_trace, inline_trace);
 }
 
 TEST(ShardGroupTest, EpochPlannerJumpsIdleStretches) {
@@ -240,13 +310,13 @@ TEST(ShardGroupTest, BarrierHooksAlignEpochsToRequestedGrid) {
 }
 
 TEST(ShardGroupTest, PerZoneCountersSumToGroupTotals) {
-  // Each shard showers its right neighbor through a 2-slot ring, so the
-  // per-zone posted/drained/spill counters and the inbox high watermark all
-  // see real traffic — and their sums must match the group-wide totals.
+  // Each shard showers its right neighbor with 40 posts inside the first
+  // epoch, so the per-zone posted/drained counters and the inbox high
+  // watermark all see real traffic — and the sums must match the
+  // group-wide totals.
   ShardGroup::Options options;
   options.shards = 3;
   options.lookahead = Microseconds(50);
-  options.inbox_capacity = 2;
   ShardGroup group(options);
   RecordingHook hook(Milliseconds(1), 3);  // Also checks drained plumbing.
   group.AddBarrierHook(&hook);
@@ -260,22 +330,16 @@ TEST(ShardGroupTest, PerZoneCountersSumToGroupTotals) {
   }
   group.RunUntil(Milliseconds(1));
   uint64_t posted = 0;
-  uint64_t spilled = 0;
   uint64_t drained = 0;
-  size_t high_watermark = 0;
   for (int z = 0; z < 3; ++z) {
     posted += group.zone_messages_posted(z);
-    spilled += group.zone_ring_spills(z);
     drained += group.zone_messages_drained(z);
-    high_watermark =
-        std::max(high_watermark, group.zone_inbox_high_watermark(z));
+    // Each shard's 40 posts share one epoch, so one link held all of them.
+    EXPECT_EQ(group.zone_inbox_high_watermark(z), 40u) << "zone " << z;
   }
   EXPECT_EQ(posted, 120u);
   EXPECT_EQ(posted, group.messages_posted());
   EXPECT_EQ(drained, posted);
-  EXPECT_EQ(spilled, group.ring_spills());
-  EXPECT_GT(spilled, 0u);
-  EXPECT_GT(high_watermark, 2u);  // Spill occupancy counts, not just ring.
   EXPECT_EQ(hook.drained_seen(), posted);
 }
 
