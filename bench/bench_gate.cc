@@ -12,7 +12,10 @@
 //   2. allocations per packet have not grown past the baseline — the
 //      zero-allocation steady state is a correctness property here, so even
 //      a +1 drift fails;
-//   3. encode ns/frame is within (1 + max_regress) of baseline, default
+//   3. bytes per frame EQUALS the baseline — the bench encodes fixed,
+//      seeded content, so its packet size is deterministic and any change
+//      means the Vorbix bitstream changed, even where timing is noise;
+//   4. encode ns/frame is within (1 + max_regress) of baseline, default
 //      +25% — loose enough for shared-machine noise, tight enough to catch
 //      an accidental O(N log N) -> O(N^2) or a reintroduced per-packet copy.
 //
@@ -229,6 +232,20 @@ void CheckCodec(Gate* gate, const JsonObject& current,
     }
   }
 
+  // Both files carry the same printed precision, so equal bitstreams give
+  // equal numbers.
+  const double cur_bytes = g.Number(current, current_path, "bytes_per_frame");
+  const double base_bytes =
+      g.Number(baseline, baseline_path, "bytes_per_frame");
+  if (cur_bytes != base_bytes) {
+    char msg[256];
+    std::snprintf(msg, sizeof(msg),
+                  "bytes_per_frame %.10g differs from baseline %.10g: the "
+                  "Vorbix bitstream changed",
+                  cur_bytes, base_bytes);
+    g.Fail(msg);
+  }
+
   const double cur_ns = g.Number(current, current_path,
                                  "encode_ns_per_frame");
   const double base_ns = g.Number(baseline, baseline_path,
@@ -246,8 +263,8 @@ void CheckCodec(Gate* gate, const JsonObject& current,
   if (g.failures == 0) {
     std::printf(
         "PASS: encode %.1f ns/frame (baseline %.1f, limit %.1f), "
-        "allocs/packet encode=%g decode=%g\n",
-        cur_ns, base_ns, limit,
+        "%.10g bytes/frame, allocs/packet encode=%g decode=%g\n",
+        cur_ns, base_ns, limit, cur_bytes,
         g.Number(current, current_path, "encode_allocs_per_packet"),
         g.Number(current, current_path, "decode_allocs_per_packet"));
   }

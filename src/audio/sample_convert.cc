@@ -49,6 +49,27 @@ constexpr std::array<uint8_t, 16384> kAlawEncode = [] {
   return t;
 }();
 
+// Clamps to [-1, 1] and maps NaN to 0, so no NaN reaches a float-to-integer
+// conversion (undefined behaviour in C++).
+float ClampSample(float x) {
+  return std::isnan(x) ? 0.0f : std::clamp(x, -1.0f, 1.0f);
+}
+
+// Rounds to the nearest integer, ties to even (lrintf's result in the
+// default rounding mode), without a libm call, for |x| <= 2^22: adding
+// 1.5 * 2^23 moves x into [2^23, 2^24), where adjacent floats are 1 apart,
+// so the addition itself rounds; subtracting the (even) constant is exact.
+int32_t RoundToInt(float x) {
+  constexpr float kMagic = 12582912.0f;
+  return static_cast<int32_t>((x + kMagic) - kMagic);
+}
+
+// The same for doubles with |x| <= 2^51, via 1.5 * 2^52.
+int32_t RoundToInt(double x) {
+  constexpr double kMagic = 6755399441055744.0;
+  return static_cast<int32_t>((x + kMagic) - kMagic);
+}
+
 }  // namespace
 
 uint8_t LinearToMulaw(int16_t sample) {
@@ -75,10 +96,9 @@ uint8_t LinearToAlaw(int16_t sample) {
 int16_t AlawToLinear(uint8_t alaw) { return kAlawDecode[alaw]; }
 
 int16_t FloatToS16(float x) {
-  x = std::clamp(x, -1.0f, 1.0f);
   // Symmetric with S16ToFloat's /32768 so a round trip loses at most half an
   // LSB (full-scale +1.0 clamps to 32767).
-  auto v = static_cast<int32_t>(std::lrintf(x * 32768.0f));
+  const int32_t v = RoundToInt(ClampSample(x) * 32768.0f);
   return static_cast<int16_t>(std::clamp(v, -32768, 32767));
 }
 
@@ -129,42 +149,41 @@ std::vector<float> DecodeToFloat(const uint8_t* data, size_t size,
 
 Bytes EncodeFromFloat(const std::vector<float>& samples,
                       AudioEncoding encoding) {
-  const int bps = BytesPerSample(encoding);
-  Bytes out;
-  out.reserve(samples.size() * static_cast<size_t>(bps));
+  const size_t n = samples.size();
+  Bytes out(n * static_cast<size_t>(BytesPerSample(encoding)));
+  uint8_t* p = out.data();
   switch (encoding) {
     case AudioEncoding::kMulaw:
-      for (float s : samples) {
-        out.push_back(LinearToMulaw(FloatToS16(s)));
+      for (size_t i = 0; i < n; ++i) {
+        p[i] = LinearToMulaw(FloatToS16(samples[i]));
       }
       break;
     case AudioEncoding::kAlaw:
-      for (float s : samples) {
-        out.push_back(LinearToAlaw(FloatToS16(s)));
+      for (size_t i = 0; i < n; ++i) {
+        p[i] = LinearToAlaw(FloatToS16(samples[i]));
       }
       break;
     case AudioEncoding::kLinearU8:
-      for (float s : samples) {
-        float clamped = std::clamp(s, -1.0f, 1.0f);
-        auto v = static_cast<int>(std::lrintf(clamped * 128.0f)) + 128;
-        out.push_back(static_cast<uint8_t>(std::clamp(v, 0, 255)));
+      for (size_t i = 0; i < n; ++i) {
+        const int32_t v = RoundToInt(ClampSample(samples[i]) * 128.0f) + 128;
+        p[i] = static_cast<uint8_t>(std::clamp(v, 0, 255));
       }
       break;
     case AudioEncoding::kLinearS16:
-      for (float s : samples) {
-        int16_t v = FloatToS16(s);
-        out.push_back(static_cast<uint8_t>(v & 0xff));
-        out.push_back(static_cast<uint8_t>((v >> 8) & 0xff));
+      for (size_t i = 0; i < n; ++i) {
+        const int16_t v = FloatToS16(samples[i]);
+        p[2 * i] = static_cast<uint8_t>(v & 0xff);
+        p[2 * i + 1] = static_cast<uint8_t>((v >> 8) & 0xff);
       }
       break;
     case AudioEncoding::kLinearS24:
-      for (float s : samples) {
-        float clamped = std::clamp(s, -1.0f, 1.0f);
-        auto v = static_cast<int32_t>(std::lrint(clamped * 8388607.0));
+      for (size_t i = 0; i < n; ++i) {
+        int32_t v = RoundToInt(static_cast<double>(ClampSample(samples[i])) *
+                               8388607.0);
         v = std::clamp(v, -8388608, 8388607);
-        out.push_back(static_cast<uint8_t>(v & 0xff));
-        out.push_back(static_cast<uint8_t>((v >> 8) & 0xff));
-        out.push_back(static_cast<uint8_t>((v >> 16) & 0xff));
+        p[3 * i] = static_cast<uint8_t>(v & 0xff);
+        p[3 * i + 1] = static_cast<uint8_t>((v >> 8) & 0xff);
+        p[3 * i + 2] = static_cast<uint8_t>((v >> 16) & 0xff);
       }
       break;
   }

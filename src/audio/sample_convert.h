@@ -106,11 +106,15 @@ inline std::vector<float> DecodeToFloat(const Bytes& data,
   return DecodeToFloat(data.data(), data.size(), encoding);
 }
 
-// Encodes float samples (clamped to [-1, 1]) into interleaved bytes.
+// Encodes float samples (clamped to [-1, 1]) into interleaved bytes,
+// rounding to the nearest code with ties to even (lrint's default mode).
+// A NaN sample encodes as 0.0 (silence): s16 00 00, s24 00 00 00, u8 0x80,
+// mu-law 0xff, A-law 0xd5. +/-inf clamp to full scale like any |x| > 1.
 Bytes EncodeFromFloat(const std::vector<float>& samples,
                       AudioEncoding encoding);
 
-// Float <-> int16 helpers used throughout the codec.
+// Float <-> int16 helpers used throughout the codec. FloatToS16 clamps,
+// rounds and maps NaN exactly as EncodeFromFloat does.
 int16_t FloatToS16(float x);
 float S16ToFloat(int16_t x);
 

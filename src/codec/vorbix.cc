@@ -176,7 +176,7 @@ Result<std::vector<float>> VorbixDecoder::DecodePacket(const uint8_t* data,
     return DataLossError("vorbix: channel count mismatch");
   }
   const size_t m = kVorbixHalfLength;
-  if ((size_t{1} << *log2m) != m) {
+  if (*log2m != Log2Exact(m)) {
     return DataLossError("vorbix: unsupported block size");
   }
   const size_t frames = *frames32;

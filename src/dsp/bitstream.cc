@@ -1,27 +1,15 @@
 #include "src/dsp/bitstream.h"
 
-#include <algorithm>
 #include <bit>
-#include <cassert>
 
 namespace espk {
 
-void BitWriter::WriteBits(uint64_t value, int bits) {
-  assert(bits >= 0 && bits <= 64);
-  bit_count_ += static_cast<size_t>(bits);
-  while (bits > 0) {
-    const int take = std::min(8 - used_, bits);
-    const uint64_t chunk =
-        (value >> (bits - take)) & ((uint64_t{1} << take) - 1);
-    current_ = static_cast<uint8_t>((current_ << take) | chunk);
-    used_ += take;
-    bits -= take;
-    if (used_ == 8) {
-      buf_.push_back(current_);
-      current_ = 0;
-      used_ = 0;
-    }
+void BitWriter::AppendWord(uint64_t word) {
+  uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<uint8_t>(word >> (56 - 8 * i));
   }
+  buf_.insert(buf_.end(), bytes, bytes + 8);
 }
 
 void BitWriter::WriteUnary(uint32_t count) {
@@ -34,12 +22,11 @@ void BitWriter::WriteUnary(uint32_t count) {
 }
 
 const Bytes& BitWriter::Flush() {
-  if (used_ > 0) {
-    current_ = static_cast<uint8_t>(current_ << (8 - used_));
-    buf_.push_back(current_);
-    current_ = 0;
-    used_ = 0;
+  for (int shift = 56; shift >= free_ - 7; shift -= 8) {
+    buf_.push_back(static_cast<uint8_t>(acc_ >> shift));
   }
+  acc_ = 0;
+  free_ = 64;
   return buf_;
 }
 
@@ -50,68 +37,73 @@ Bytes BitWriter::Finish() {
 
 void BitWriter::Clear() {
   buf_.clear();
-  current_ = 0;
-  used_ = 0;
-  bit_count_ = 0;
+  acc_ = 0;
+  free_ = 64;
 }
 
-Result<uint64_t> BitReader::ReadBits(int bits) {
-  assert(bits >= 0 && bits <= 64);
-  if (pos_ + static_cast<size_t>(bits) > len_ * 8) {
+void BitReader::Refill() {
+  if (avail_ > 56) {
+    return;
+  }
+  if (len_ - next_ >= 8) {
+    uint64_t word = 0;
+    for (int i = 0; i < 8; ++i) {
+      word = (word << 8) | data_[next_ + static_cast<size_t>(i)];
+    }
+    // Whole bytes that fit; their bits only, so the low bits stay zero.
+    const int bytes = (64 - avail_) >> 3;
+    word &= ~uint64_t{0} << (64 - 8 * bytes);
+    window_ |= word >> avail_;
+    next_ += static_cast<size_t>(bytes);
+    avail_ += 8 * bytes;
+    return;
+  }
+  while (avail_ <= 56 && next_ < len_) {
+    window_ |= uint64_t{data_[next_++]} << (56 - avail_);
+    avail_ += 8;
+  }
+}
+
+Result<uint64_t> BitReader::ReadBitsSlow(int bits) {
+  if (static_cast<size_t>(bits) >
+      static_cast<size_t>(avail_) + 8 * (len_ - next_)) {
     return OutOfRangeError("bitstream exhausted");
   }
-  uint64_t value = 0;
-  while (bits > 0) {
-    const size_t byte = pos_ >> 3;
-    const int avail = 8 - static_cast<int>(pos_ & 7);
-    const int take = std::min(avail, bits);
-    const uint8_t chunk = static_cast<uint8_t>(
-        (data_[byte] >> (avail - take)) & ((1u << take) - 1));
-    value = (value << take) | chunk;
-    pos_ += static_cast<size_t>(take);
-    bits -= take;
+  Refill();
+  if (bits > 56) {
+    // Wider than one refill guarantees: the top bits, then the low 32.
+    const uint64_t high = Take(bits - 32);
+    Refill();
+    return (high << 32) | Take(32);
   }
-  return value;
+  return Take(bits);
 }
 
-Result<bool> BitReader::ReadBit() {
-  Result<uint64_t> bit = ReadBits(1);
-  if (!bit.ok()) {
-    return bit.status();
-  }
-  return *bit != 0;
-}
-
-Result<uint32_t> BitReader::ReadUnary(uint32_t max_run) {
-  const size_t end = len_ * 8;
+Result<uint32_t> BitReader::ReadUnarySlow(uint32_t max_run) {
   uint32_t count = 0;
   for (;;) {
-    if (pos_ >= end) {
+    // The window's low bits are zero, so the run of ones stops at avail_.
+    const int ones = std::countl_one(window_);
+    count += static_cast<uint32_t>(ones);
+    if (ones < avail_) {
+      window_ = window_ << ones << 1;  // Also consume the terminating zero.
+      avail_ -= ones + 1;
+      break;
+    }
+    window_ = 0;
+    avail_ = 0;
+    if (count > max_run) {
+      break;
+    }
+    Refill();
+    if (avail_ == 0) {
       return OutOfRangeError("bitstream exhausted");
     }
-    const size_t byte = pos_ >> 3;
-    const int offset = static_cast<int>(pos_ & 7);
-    const int avail = std::min(8 - offset,
-                               static_cast<int>(end - pos_));
-    // Remaining bits of this byte, left-aligned; count the leading ones.
-    const auto window = static_cast<uint8_t>(data_[byte] << offset);
-    const int ones = std::min(std::countl_one(window), avail);
-    if (ones == avail) {
-      // Run continues past this byte (or past end-of-stream, caught above).
-      count += static_cast<uint32_t>(avail);
-      pos_ += static_cast<size_t>(avail);
-      if (count > max_run) {
-        return DataLossError("unary run exceeds limit (corrupt bitstream)");
-      }
-      continue;
-    }
-    count += static_cast<uint32_t>(ones);
-    pos_ += static_cast<size_t>(ones) + 1;  // Consume the terminating zero.
-    if (count > max_run) {
-      return DataLossError("unary run exceeds limit (corrupt bitstream)");
-    }
-    return count;
   }
+  if (count > max_run) {
+    return DataLossError("unary run exceeds limit (corrupt bitstream)");
+  }
+  return count;
 }
 
 }  // namespace espk

@@ -22,27 +22,16 @@ std::vector<double> SineWindow(size_t two_m) {
 }
 
 Dct4Plan::Dct4Plan(size_t m)
-    : m_(m),
-      fft_(m / 2),
-      pre_even_(m / 2),
-      pre_odd_(m / 2),
-      post_even_(m / 2),
-      post_odd_(m / 2),
-      work_even_(m / 2),
-      work_odd_(m / 2) {
+    : m_(m), fft_(m / 2), pre_(m / 2), post_(m / 2), work_(m / 2) {
   const size_t k = m / 2;
   const double md = static_cast<double>(m);
   for (size_t t = 0; t < k; ++t) {
     const double td = static_cast<double>(t);
-    pre_even_[t] = {std::cos(-kPi * td / md), std::sin(-kPi * td / md)};
-    pre_odd_[t] = {std::cos(-3.0 * kPi * td / md),
-                   std::sin(-3.0 * kPi * td / md)};
+    pre_[t] = {std::cos(-kPi * td / md), std::sin(-kPi * td / md)};
   }
   for (size_t s = 0; s < k; ++s) {
-    const double ae = -kPi * (4.0 * static_cast<double>(s) + 1.0) / (4.0 * md);
-    const double ao = -kPi * (4.0 * static_cast<double>(s) + 3.0) / (4.0 * md);
-    post_even_[s] = {std::cos(ae), std::sin(ae)};
-    post_odd_[s] = {std::cos(ao), std::sin(ao)};
+    const double a = -kPi * (4.0 * static_cast<double>(s) + 1.0) / (4.0 * md);
+    post_[s] = {std::cos(a), std::sin(a)};
   }
 }
 
@@ -56,20 +45,20 @@ void Dct4Plan::Execute(const double* in, double* out) {
   for (size_t t = 0; t < k; ++t) {
     const double zr = in[2 * t];
     const double zi = in[m - 1 - 2 * t];
-    const double er = pre_even_[t].real();
-    const double ei = pre_even_[t].imag();
-    const double or_ = pre_odd_[t].real();
-    const double oi = pre_odd_[t].imag();
-    work_even_[t] = {zr * er - zi * ei, zr * ei + zi * er};
-    work_odd_[t] = {zr * or_ + zi * oi, zr * oi - zi * or_};
+    const double cr = pre_[t].real();
+    const double ci = pre_[t].imag();
+    work_[t] = {zr * cr - zi * ci, zr * ci + zi * cr};
   }
-  fft_.Forward(work_even_.data());
-  fft_.Forward(work_odd_.data());
+  fft_.Forward(work_.data());
+  // Z[s] = post[s] * work[s]: its real part is X[2s], its negated
+  // imaginary part X[m-1-2s].
   for (size_t s = 0; s < k; ++s) {
-    out[2 * s] = post_even_[s].real() * work_even_[s].real() -
-                 post_even_[s].imag() * work_even_[s].imag();
-    out[2 * s + 1] = post_odd_[s].real() * work_odd_[s].real() -
-                     post_odd_[s].imag() * work_odd_[s].imag();
+    const double qr = post_[s].real();
+    const double qi = post_[s].imag();
+    const double wr = work_[s].real();
+    const double wi = work_[s].imag();
+    out[2 * s] = qr * wr - qi * wi;
+    out[m - 1 - 2 * s] = -(qr * wi + qi * wr);
   }
 }
 

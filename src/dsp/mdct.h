@@ -10,9 +10,9 @@
 // the first half of block t+1 reconstructs the input exactly.
 //
 // Two implementations are provided: a fast plan-based one (fold to DCT-IV,
-// DCT-IV via two half-length complex FFTs, all twiddles precomputed, all
+// DCT-IV via one half-length complex FFT, all twiddles precomputed, all
 // scratch owned by the plan) used by the codec, and a direct O(N^2)
-// reference used in tests to pin the fast path down bit-for-bit.
+// reference that tests hold the fast path to, within 1e-9.
 //
 // Ownership / threading: a Dct4Plan or Mdct owns mutable scratch, so
 // Forward/Inverse/Execute are non-const and an instance must not be shared
@@ -34,16 +34,18 @@ namespace espk {
 // Princen-Bradley condition w[n]^2 + w[n+M]^2 = 1.
 std::vector<double> SineWindow(size_t two_m);
 
-// DCT-IV of length M (a power of two >= 8) via two M/2-point complex FFTs.
+// DCT-IV of length M (a power of two >= 8) via one M/2-point complex FFT.
 // With K = M/2, z[t] = v[2t] + i v[M-1-2t] packs the input; then
-//   X[2s]   = Re( e^{-i pi (4s+1)/(4M)} FFT_K(z[t]      e^{-i pi t/M} )[s] )
-//   X[2s+1] = Re( e^{-i pi (4s+3)/(4M)} FFT_K(conj(z[t]) e^{-3i pi t/M})[s] )
-// (split the DCT-IV sum over even/odd j, then over even/odd k; the odd-j
-// cosine collapses to (+/-)sin at half-integer frequencies). ~2.5x fewer
-// butterflies than the zero-padded 2M-point FFT form, and no zero padding.
-// All twiddle tables and the complex work buffers are precomputed /
-// preallocated at construction; dsp_test pins Execute against the direct
-// O(N^2) formula for every supported size.
+//   Z[s] = e^{-i pi (4s+1)/(4M)} FFT_K(z[t] e^{-i pi t/M})[s]
+//   X[2s] = Re Z[s],   X[M-1-2s] = -Im Z[s]
+// The twiddles multiply to e^{-i pi (4t+1)(4s+1)/(4M)}, whose real part is
+// the DCT-IV kernel between v[2t] and X[2s]; reflecting n -> M-1-n or
+// k -> M-1-k turns that cosine into a sine or a negated cosine, which the
+// imaginary parts and the packed v[M-1-2t] supply. So one FFT yields every
+// output, none is discarded, and there is no zero padding. Both twiddle
+// tables and the complex work buffer are precomputed / preallocated at
+// construction; dsp_test pins Execute against the direct O(N^2) formula
+// for every supported size.
 class Dct4Plan {
  public:
   explicit Dct4Plan(size_t m);
@@ -56,13 +58,10 @@ class Dct4Plan {
 
  private:
   size_t m_;
-  FftPlan fft_;                                  // size M/2
-  std::vector<std::complex<double>> pre_even_;   // e^{-i pi t/M}
-  std::vector<std::complex<double>> pre_odd_;    // e^{-3i pi t/M}
-  std::vector<std::complex<double>> post_even_;  // e^{-i pi (4s+1)/(4M)}
-  std::vector<std::complex<double>> post_odd_;   // e^{-i pi (4s+3)/(4M)}
-  std::vector<std::complex<double>> work_even_;  // M/2 scratch
-  std::vector<std::complex<double>> work_odd_;   // M/2 scratch
+  FftPlan fft_;                              // size M/2
+  std::vector<std::complex<double>> pre_;    // e^{-i pi t/M}
+  std::vector<std::complex<double>> post_;   // e^{-i pi (4s+1)/(4M)}
+  std::vector<std::complex<double>> work_;   // M/2 scratch
 };
 
 // Precomputed transform for half-length M (a power of two >= 8). The window

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/audio/analysis.h"
 #include "src/audio/format.h"
@@ -215,6 +218,93 @@ TEST(SampleConvertTest, ClampsOutOfRangeFloats) {
   std::vector<float> out = DecodeToFloat(wire, AudioEncoding::kLinearS16);
   EXPECT_NEAR(out[0], 1.0f, 0.001f);
   EXPECT_NEAR(out[1], -1.0f, 0.001f);
+}
+
+// Appends one sample encoded the way EncodeFromFloat did with libm's lrint
+// in the default rounding mode (ties to even), NaN mapped to 0 first: the
+// reference the libm-free conversion must match byte for byte.
+void AppendWithLrint(float x, AudioEncoding encoding, Bytes* out) {
+  if (std::isnan(x)) {
+    x = 0.0f;
+  }
+  const float c = std::clamp(x, -1.0f, 1.0f);
+  const auto s16 = static_cast<int16_t>(
+      std::clamp(static_cast<int32_t>(std::lrintf(c * 32768.0f)), -32768,
+                 32767));
+  switch (encoding) {
+    case AudioEncoding::kMulaw:
+      out->push_back(LinearToMulawReference(s16));
+      break;
+    case AudioEncoding::kAlaw:
+      out->push_back(LinearToAlawReference(s16));
+      break;
+    case AudioEncoding::kLinearU8:
+      out->push_back(static_cast<uint8_t>(
+          std::clamp(static_cast<int>(std::lrintf(c * 128.0f)) + 128, 0, 255)));
+      break;
+    case AudioEncoding::kLinearS16:
+      out->push_back(static_cast<uint8_t>(s16 & 0xff));
+      out->push_back(static_cast<uint8_t>((s16 >> 8) & 0xff));
+      break;
+    case AudioEncoding::kLinearS24: {
+      const auto v = std::clamp(static_cast<int32_t>(std::lrint(c * 8388607.0)),
+                                -8388608, 8388607);
+      out->push_back(static_cast<uint8_t>(v & 0xff));
+      out->push_back(static_cast<uint8_t>((v >> 8) & 0xff));
+      out->push_back(static_cast<uint8_t>((v >> 16) & 0xff));
+      break;
+    }
+  }
+}
+
+TEST(SampleConvertTest, EncodeMatchesLrintReferenceAtEveryEdge) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> in = {
+      nan,   -nan, std::numeric_limits<float>::signaling_NaN(),
+      kInf,  -kInf, 0.0f, -0.0f, 1.0f, -1.0f, 1.5f, -1.5f, 1e30f, -1e30f,
+      std::nextafter(1.0f, 2.0f), std::nextafter(-1.0f, -2.0f)};
+  // Every s16 half-step k/65536 (and so every u8 one), and 1 ulp either
+  // side of it, where ties-to-even and round-half-away differ.
+  for (int k = -65536; k <= 65536; ++k) {
+    const float x = static_cast<float>(k) / 65536.0f;
+    in.push_back(x);
+    in.push_back(std::nextafter(x, 2.0f));
+    in.push_back(std::nextafter(x, -2.0f));
+  }
+  // s24's steps are not powers of two; cover them with random samples.
+  Prng prng(61);
+  for (int i = 0; i < 100000; ++i) {
+    in.push_back(static_cast<float>(prng.NextDouble() * 2.2 - 1.1));
+  }
+  for (AudioEncoding enc :
+       {AudioEncoding::kMulaw, AudioEncoding::kAlaw, AudioEncoding::kLinearU8,
+        AudioEncoding::kLinearS16, AudioEncoding::kLinearS24}) {
+    Bytes want;
+    for (float x : in) {
+      AppendWithLrint(x, enc, &want);
+    }
+    const Bytes got = EncodeFromFloat(in, enc);
+    ASSERT_EQ(got.size(), want.size()) << AudioEncodingName(enc);
+    if (got != want) {
+      const auto byte = static_cast<size_t>(
+          std::mismatch(got.begin(), got.end(), want.begin()).first -
+          got.begin());
+      const size_t i = byte / static_cast<size_t>(BytesPerSample(enc));
+      FAIL() << AudioEncodingName(enc) << " sample " << i << " = " << in[i];
+    }
+  }
+  // NaN is silence in every encoding.
+  const std::vector<float> nans = {nan, -nan};
+  EXPECT_EQ(EncodeFromFloat(nans, AudioEncoding::kLinearS16),
+            (Bytes{0, 0, 0, 0}));
+  EXPECT_EQ(EncodeFromFloat(nans, AudioEncoding::kLinearS24),
+            (Bytes{0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(EncodeFromFloat(nans, AudioEncoding::kLinearU8),
+            (Bytes{0x80, 0x80}));
+  EXPECT_EQ(EncodeFromFloat(nans, AudioEncoding::kMulaw), (Bytes{0xff, 0xff}));
+  EXPECT_EQ(EncodeFromFloat(nans, AudioEncoding::kAlaw), (Bytes{0xd5, 0xd5}));
+  EXPECT_EQ(FloatToS16(nan), 0);
 }
 
 // ------------------------------------------------------------------- PCM --

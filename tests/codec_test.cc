@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <string_view>
 
 #include "src/audio/analysis.h"
 #include "src/audio/generator.h"
@@ -403,6 +408,126 @@ TEST(VorbixTest, MidSideFlagOnMonoRejected) {
   wire[4] |= kVorbixFlagMidSide;  // Flags byte (magic u16, version, quality, flags).
   VorbixDecoder dec(mono, 10);
   EXPECT_FALSE(dec.DecodePacket(wire).ok());
+}
+
+// FNV-1a, 64-bit, continued from `hash`.
+uint64_t Fnv1a(const uint8_t* data, size_t size, uint64_t hash) {
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ data[i]) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+struct PinnedCase {
+  const char* signal;  // "music", "noise" or "sine".
+  int channels;
+  int quality;
+  uint64_t bytes_hash;  // FNV-1a of every encoded packet, in order.
+  uint64_t pcm_hash;    // FNV-1a of every decoded float's bits, in order.
+};
+
+// The Vorbix bitstream and decoded PCM are a contract: a speaker built from
+// another revision must decode the same bytes to the same samples. These
+// hashes pin both over 40 packets of 4096 frames plus one odd-length packet
+// per case; a kernel rewrite (MDCT, bit I/O) must leave every one
+// unchanged.
+TEST(VorbixPinnedTest, EncodedBytesAndDecodedPcmAreBitIdentical) {
+  const PinnedCase kCases[] = {
+      {"music", 1, 0, 0xe69f10ca0f141d4bull, 0xa1d73dc486f3f6c2ull},
+      {"music", 1, 5, 0x03d7f5c034e69ccbull, 0x0f2c1fd0bc6b8f42ull},
+      {"music", 1, 10, 0x58e80ab64271882bull, 0xa4f260f1b98cd250ull},
+      {"music", 2, 0, 0x849bbc1eb998ecb1ull, 0x5b2f6d942cce60c9ull},
+      {"music", 2, 5, 0x76d838e1f509e8c9ull, 0x610924f576407db1ull},
+      {"music", 2, 10, 0x9ae013ebc9d7d6fbull, 0x70f28d856887e611ull},
+      {"noise", 1, 0, 0x127fe1cc150ea178ull, 0xd95fbb1ba299a171ull},
+      {"noise", 1, 5, 0x028ccf4617a58295ull, 0x3c71652fc19a4a01ull},
+      {"noise", 1, 10, 0xb6524e0176ec8916ull, 0x2f1b1b77b38ff0ccull},
+      {"noise", 2, 0, 0xdce8d917c8630d28ull, 0xb2da4dec5693fbe1ull},
+      {"noise", 2, 5, 0xc33c030856f6c2e1ull, 0x32f82c60cbee7f9eull},
+      {"noise", 2, 10, 0xd90df87fa03eb7baull, 0xa91663d8c03b00d3ull},
+      {"sine", 1, 0, 0xd6ccb5a4e0c71ae0ull, 0xcd55f47f83efda05ull},
+      {"sine", 1, 5, 0x4a391128d9eaa718ull, 0xcd79b5fd17886641ull},
+      {"sine", 1, 10, 0x52b562c165b6456bull, 0xa70974a1ee2e7f44ull},
+      {"sine", 2, 0, 0x14fc6464cc23e432ull, 0x7d3ae2eddc43b7b9ull},
+      {"sine", 2, 5, 0xf3619eb947a2308cull, 0x57131efe1a206f6dull},
+      {"sine", 2, 10, 0x7e32fb3d8c071521ull, 0x9f80de7ec548a695ull},
+  };
+  for (const PinnedCase& tc : kCases) {
+    AudioConfig config{44100, tc.channels, AudioEncoding::kLinearS16};
+    std::unique_ptr<SignalGenerator> gen;
+    if (std::string_view(tc.signal) == "music") {
+      gen = std::make_unique<MusicLikeGenerator>(21);
+    } else if (std::string_view(tc.signal) == "noise") {
+      gen = std::make_unique<WhiteNoiseGenerator>(22);
+    } else {
+      gen = std::make_unique<SineGenerator>(997.0);
+    }
+    VorbixEncoder enc(config, tc.quality);
+    VorbixDecoder dec(config, tc.quality);
+    uint64_t bytes_hash = kFnvOffset;
+    uint64_t pcm_hash = kFnvOffset;
+    for (int packet = 0; packet <= 40; ++packet) {
+      const int64_t frames = packet < 40 ? 4096 : 3001;
+      std::vector<float> in = MakeContent(gen.get(), config, frames);
+      Result<Bytes> wire = enc.EncodePacket(in);
+      ASSERT_TRUE(wire.ok());
+      bytes_hash = Fnv1a(wire->data(), wire->size(), bytes_hash);
+      Result<std::vector<float>> out = dec.DecodePacket(*wire);
+      ASSERT_TRUE(out.ok()) << out.status();
+      for (float s : *out) {
+        const auto bits = std::bit_cast<uint32_t>(s);
+        const uint8_t le[4] = {
+            static_cast<uint8_t>(bits), static_cast<uint8_t>(bits >> 8),
+            static_cast<uint8_t>(bits >> 16), static_cast<uint8_t>(bits >> 24)};
+        pcm_hash = Fnv1a(le, 4, pcm_hash);
+      }
+    }
+    const std::string name = std::string(tc.signal) + " ch" +
+                             std::to_string(tc.channels) + " q" +
+                             std::to_string(tc.quality);
+    EXPECT_EQ(bytes_hash, tc.bytes_hash) << name << std::hex << " bytes 0x"
+                                         << bytes_hash;
+    EXPECT_EQ(pcm_hash, tc.pcm_hash) << name << std::hex << " pcm 0x"
+                                     << pcm_hash;
+  }
+}
+
+TEST(VorbixTest, HostileBlockSizeByteIsDataLoss) {
+  // The header's log2(M) byte is untrusted: values far past the word size
+  // must be rejected as corrupt, not used as a shift count.
+  AudioConfig cd = AudioConfig::CdQuality();
+  VorbixEncoder enc(cd, 5);
+  VorbixDecoder dec(cd, 5);
+  MusicLikeGenerator gen(23);
+  Bytes wire = *enc.EncodePacket(MakeContent(&gen, cd, 2048));
+  ASSERT_TRUE(dec.DecodePacket(wire).ok());
+  for (int log2m : {0, 8, 10, 63, 64, 73, 255}) {
+    Bytes hostile = wire;
+    // Byte 6 follows the magic (2 bytes), version, quality, flags, channels.
+    hostile[6] = static_cast<uint8_t>(log2m);
+    Result<std::vector<float>> out = dec.DecodePacket(hostile);
+    ASSERT_FALSE(out.ok()) << "log2m " << log2m;
+    EXPECT_EQ(out.status().code(), StatusCode::kDataLoss) << "log2m " << log2m;
+  }
+}
+
+TEST(VorbixTest, EveryStrictPrefixOfAPacketIsAnError) {
+  // Each prefix is a heap copy sized exactly to its length, so a decoder
+  // read past the slice lands outside the allocation (ASan builds flag it).
+  AudioConfig cd = AudioConfig::CdQuality();
+  VorbixEncoder enc(cd, 5);
+  VorbixDecoder dec(cd, 5);
+  MusicLikeGenerator gen(29);
+  Bytes wire = *enc.EncodePacket(MakeContent(&gen, cd, 4096));
+  ASSERT_TRUE(dec.DecodePacket(wire).ok());
+  for (size_t len = 0; len < wire.size(); ++len) {
+    auto prefix = std::make_unique<uint8_t[]>(len);
+    std::copy(wire.begin(), wire.begin() + static_cast<long>(len),
+              prefix.get());
+    EXPECT_FALSE(dec.DecodePacket(prefix.get(), len).ok()) << "len " << len;
+  }
 }
 
 TEST(CodecFactoryTest, QuantStepIndexRoundTrip) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <memory>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "src/audio/generator.h"
 #include "src/base/prng.h"
@@ -193,8 +197,8 @@ TEST_P(MdctTdac, OverlapAddReconstructsExactly) {
 INSTANTIATE_TEST_SUITE_P(BlockSizes, MdctTdac,
                          ::testing::Values(16, 64, 256, 512));
 
-// Oracle sweep: the plan-based fast path (fold + split-radix-style DCT-IV
-// over two half-length FFTs) must agree with the direct O(N^2) formulas at
+// Oracle sweep: the plan-based fast path (fold + DCT-IV over one
+// half-length FFT) must agree with the direct O(N^2) formulas at
 // every power-of-two size the codec could be configured with.
 class MdctPlanOracle : public ::testing::TestWithParam<size_t> {};
 
@@ -285,6 +289,117 @@ TEST(BitstreamTest, ZeroBitWriteIsNoOp) {
   EXPECT_EQ(*r.ReadBits(1), 1u);
 }
 
+// Bit `i` of `data`, MSB-first within each byte.
+bool BitAt(const uint8_t* data, size_t i) {
+  return ((data[i / 8] >> (7 - i % 8)) & 1) != 0;
+}
+
+TEST(BitstreamTest, RandomFieldsAndUnaryRunsRoundTrip) {
+  // Fields of every width 0..64 (with junk above the written bits) mixed
+  // with unary runs of 0..100 ones, so writes cross the 32-bit unary chunk
+  // and the writer's 64-bit word at every offset, and reads refill the
+  // window 8 bytes at a time and, near the end, byte by byte.
+  Prng prng(53);
+  struct Field {
+    bool unary;
+    int bits;
+    uint64_t value;
+  };
+  std::vector<Field> fields;
+  BitWriter w;
+  for (int i = 0; i < 20000; ++i) {
+    Field f{prng.NextBelow(3) == 0, 0, 0};
+    if (f.unary) {
+      f.value = prng.NextBelow(101);
+      w.WriteUnary(static_cast<uint32_t>(f.value));
+    } else {
+      f.bits = static_cast<int>(prng.NextBelow(65));
+      const uint64_t raw = prng.NextU64();
+      w.WriteBits(raw, f.bits);
+      f.value = f.bits == 64 ? raw : raw & ((uint64_t{1} << f.bits) - 1);
+    }
+    fields.push_back(f);
+  }
+  const Bytes buf = w.Finish();
+  auto exact = std::make_unique<uint8_t[]>(buf.size());
+  std::copy(buf.begin(), buf.end(), exact.get());
+  BitReader r(exact.get(), buf.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const Field& f = fields[i];
+    if (f.unary) {
+      Result<uint32_t> got = r.ReadUnary();
+      ASSERT_TRUE(got.ok()) << "field " << i;
+      ASSERT_EQ(*got, f.value) << "field " << i;
+    } else {
+      Result<uint64_t> got = r.ReadBits(f.bits);
+      ASSERT_TRUE(got.ok()) << "field " << i;
+      ASSERT_EQ(*got, f.value) << "field " << i << " bits " << f.bits;
+    }
+  }
+  // Only the final byte's zero padding is left.
+  int padding = 0;
+  for (Result<uint64_t> bit = r.ReadBits(1); bit.ok(); bit = r.ReadBits(1)) {
+    EXPECT_EQ(*bit, 0u);
+    ++padding;
+  }
+  EXPECT_LT(padding, 8);
+}
+
+TEST(BitstreamTest, ReadsEndExactlyAtTheLastBitAndFailOneBitPast) {
+  Prng prng(59);
+  for (size_t len : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 64u}) {
+    // Sized exactly, so a read past the end is outside the allocation.
+    auto data = std::make_unique<uint8_t[]>(len);
+    for (size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<uint8_t>(prng.NextU64());
+    }
+    const size_t total = len * 8;
+    // Random-width reads that together end exactly at the last bit.
+    BitReader r(data.get(), len);
+    size_t pos = 0;
+    while (pos < total) {
+      const int bits = static_cast<int>(
+          std::min<uint64_t>(prng.NextBelow(64) + 1, total - pos));
+      Result<uint64_t> got = r.ReadBits(bits);
+      ASSERT_TRUE(got.ok()) << "len " << len << " pos " << pos;
+      uint64_t want = 0;
+      for (int b = 0; b < bits; ++b) {
+        want = (want << 1) | (BitAt(data.get(), pos + b) ? 1 : 0);
+      }
+      ASSERT_EQ(*got, want) << "len " << len << " pos " << pos;
+      pos += static_cast<size_t>(bits);
+    }
+    EXPECT_TRUE(r.ReadBits(0).ok());
+    EXPECT_EQ(r.ReadBits(1).status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(r.ReadBit().status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(r.ReadUnary().status().code(), StatusCode::kOutOfRange);
+
+    // A read one bit wider than what is left fails and consumes nothing.
+    if (total < 64) {
+      BitReader whole(data.get(), len);
+      ASSERT_EQ(whole.ReadBits(static_cast<int>(total) + 1).status().code(),
+                StatusCode::kOutOfRange);
+      EXPECT_TRUE(whole.ReadBits(static_cast<int>(total)).ok());
+    }
+  }
+}
+
+TEST(BitstreamTest, UnaryRunStopsAtTheEndOfASlice) {
+  // The reader sees only its slice: ones up to the slice end are a run cut
+  // off by the end (OUT_OF_RANGE), not ended by the zeros stored after it.
+  const Bytes buf = {0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00,
+                     0x00, 0x00, 0x00, 0x00};
+  BitReader ones(buf.data(), 3);
+  EXPECT_EQ(ones.ReadUnary().status().code(), StatusCode::kOutOfRange);
+  BitReader limited(buf.data(), 3);
+  EXPECT_EQ(limited.ReadUnary(23).status().code(), StatusCode::kDataLoss);
+  // A zero in the last bit of the slice ends the run there.
+  const Bytes last_zero = {0xFF, 0xFF, 0xFE, 0xFF};
+  BitReader r(last_zero.data(), 3);
+  EXPECT_EQ(*r.ReadUnary(), 23u);
+  EXPECT_EQ(r.ReadBits(1).status().code(), StatusCode::kOutOfRange);
+}
+
 // ------------------------------------------------------------------ Rice --
 
 TEST(RiceTest, ZigzagBijection) {
@@ -315,6 +430,29 @@ TEST_P(RiceRoundTrip, ValuesSurvive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, RiceRoundTrip, ::testing::Values(0, 1, 4, 8, 15));
+
+TEST(RiceTest, RandomCodesRoundTrip) {
+  // Every order the estimator picks (0..30) with unary runs of 0..100, past
+  // the writer's 32-bit unary chunk, decoded through the reader's window.
+  Prng prng(67);
+  BitWriter w;
+  std::vector<std::pair<int64_t, int>> codes;
+  for (int i = 0; i < 20000; ++i) {
+    const int k = static_cast<int>(prng.NextBelow(31));
+    const uint64_t quotient = prng.NextBelow(101);
+    const uint64_t remainder = prng.NextU64() & ((uint64_t{1} << k) - 1);
+    const int64_t value = ZigzagDecode((quotient << k) | remainder);
+    RiceEncode(&w, value, k);
+    codes.emplace_back(value, k);
+  }
+  const Bytes buf = w.Finish();
+  BitReader r(buf);
+  for (const auto& [value, k] : codes) {
+    Result<int64_t> got = RiceDecode(&r, k);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(*got, value) << "k " << k;
+  }
+}
 
 TEST(RiceTest, BlockRoundTripRandom) {
   Prng prng(37);
