@@ -7,7 +7,7 @@
 #      full ctest suite — memory and UB bugs in the zero-copy buffer path
 #      (refcount mistakes, slices outliving buffers) fail here loudly.
 #   2. TSan build of the sharded-runtime suite — the executor, the shard
-#      inboxes, the timer wheel, and the width-N determinism test run under
+#      inboxes, the event queue, and the width-N determinism test run under
 #      ThreadSanitizer, plus the span and health suites whose sharded cases
 #      read zone state from barrier hooks (the merged-mirror observability
 #      path). The sharded runtime's bit-identity claim rests on the
@@ -70,9 +70,9 @@ cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESPK_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target \
-  timer_wheel_test shard_test sharded_determinism_test span_test health_test
+  sim_test shard_test sharded_determinism_test span_test health_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test'
+  -R 'sim_test|shard_test|sharded_determinism_test|span_test|health_test'
 
 echo "==> [3/9] Release: configure, build, bench smoke gate"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

@@ -89,7 +89,7 @@ int main() {
   // A dedicated recorder station time-shifts the internet channel from the
   // start — "time-shifting Internet radio transmissions" (§3.3).
   auto recorder_nic = system.lan()->CreateNic();
-  StreamRecorder recorder(system.sim(), recorder_nic.get());
+  StreamRecorder recorder(recorder_nic.get());
   (void)recorder.StartRecording(internet->group);
 
   system.RunUntil(Seconds(3));

@@ -14,7 +14,7 @@
 //   2. The runtime watches itself: EnableZoneTelemetry() registers a
 //      "zone-<z>" station per zone with epoch-duration and barrier-wait
 //      histograms, drain counts, inbox high-watermark gauges, and
-//      timer-wheel cascade counters — rendered as the fleet dashboard's
+//      processed-event counters — rendered as the fleet dashboard's
 //      "runtime" section and exported as Perfetto slices alongside the span
 //      trees.
 //

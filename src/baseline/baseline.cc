@@ -40,7 +40,6 @@ void UnicastStreamServer::Tick(SimTime now) {
   generator_->Generate(packet_frames_, config_.channels, config_.sample_rate,
                        &samples);
   Bytes payload = EncodeFromFloat(samples, config_.encoding);
-  const size_t payload_size = payload.size();
   DataPacket packet;
   packet.stream_id = 1;
   packet.seq = next_seq_++;
@@ -63,7 +62,6 @@ void UnicastStreamServer::Tick(SimTime now) {
     }
     (void)nic_->SendUnicast(listener, wire);
     ++packets_sent_;
-    payload_bytes_ += payload_size;
   }
 }
 

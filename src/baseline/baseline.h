@@ -46,7 +46,6 @@ class UnicastStreamServer {
   void Stop();
 
   uint64_t packets_sent() const { return packets_sent_; }
-  uint64_t payload_bytes_sent() const { return payload_bytes_; }
 
  private:
   void Tick(SimTime now);
@@ -59,7 +58,6 @@ class UnicastStreamServer {
   std::set<NodeId> listeners_;
   uint32_t next_seq_ = 0;
   uint64_t packets_sent_ = 0;
-  uint64_t payload_bytes_ = 0;
   PeriodicTask task_;
 };
 

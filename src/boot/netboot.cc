@@ -84,7 +84,6 @@ void DhcpServer::OnDatagram(const Datagram& datagram) {
       break;
     }
     case BootMsg::kDhcpRequest: {
-      ++leases_;
       ByteWriter w;
       w.WriteU8(static_cast<uint8_t>(BootMsg::kDhcpAck));
       (void)transport_->SendUnicast(datagram.source, w.TakeBytes());

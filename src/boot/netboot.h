@@ -56,7 +56,6 @@ class DhcpServer {
   void AddHost(NodeId node, const std::string& hostname);
 
   uint64_t discovers_seen() const { return discovers_; }
-  uint64_t leases_granted() const { return leases_; }
 
  private:
   void OnDatagram(const Datagram& datagram);
@@ -68,7 +67,6 @@ class DhcpServer {
   uint32_t next_address_ = 1;
   std::map<NodeId, uint32_t> assigned_;
   uint64_t discovers_ = 0;
-  uint64_t leases_ = 0;
 };
 
 class BootServer {

@@ -28,7 +28,6 @@ class RamdiskFs {
   Result<std::string> ReadTextFile(const std::string& path) const;
   bool Exists(const std::string& path) const;
   std::vector<std::string> List(const std::string& prefix) const;
-  size_t file_count() const { return files_.size(); }
 
   // Expands a config tar over this filesystem: existing files are
   // overwritten (machine-specific beats skeleton).

@@ -31,10 +31,10 @@
 namespace espk {
 
 // Zones (src/sim/shard.h): the system splits its speakers into `zones`
-// SpeakerZones, each living on its own shard with its own event loop,
-// timer wheel, and packet tracer; producers, the kernel, and the segment
-// stay on shard 0. Every speaker receives through its zone — zones = 1 is
-// a one-zone group whose speakers all share shard 0 with the producers.
+// SpeakerZones, each living on its own shard with its own event queue and
+// packet tracer; producers, the kernel, and the segment stay on shard 0.
+// Every speaker receives through its zone — zones = 1 is a one-zone group
+// whose speakers all share shard 0 with the producers.
 // Drive the system through its RunUntil/RunFor, which run the epoch loop:
 // the observability planes tick only at epoch barriers. Results are
 // deterministic and bit-identical whether zones = 1 or N and whether

@@ -5,11 +5,8 @@
 
 namespace espk {
 
-void CapturePlaybackSink::OnBlockPlayed(SimTime start, const Bytes& block,
+void CapturePlaybackSink::OnBlockPlayed(SimTime /*start*/, const Bytes& block,
                                         const AudioConfig& config) {
-  if (first_block_time_ < 0) {
-    first_block_time_ = start;
-  }
   ++blocks_;
   std::vector<float> decoded = DecodeToFloat(block, config.encoding);
   samples_.insert(samples_.end(), decoded.begin(), decoded.end());
@@ -57,7 +54,6 @@ void HwAudioLowLevel::OnDmaComplete() {
   kernel_->CountInterrupt();
   SimTime now = kernel_->sim()->now();
   Bytes block = hld_->PullBlock();  // Pads with silence on underrun.
-  ++blocks_played_;
   if (sink_ != nullptr) {
     sink_->OnBlockPlayed(now, block, hld_->config());
   }

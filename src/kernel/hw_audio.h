@@ -37,12 +37,10 @@ class CapturePlaybackSink : public PlaybackSink {
                      const AudioConfig& config) override;
 
   const std::vector<float>& samples() const { return samples_; }
-  SimTime first_block_time() const { return first_block_time_; }
   uint64_t blocks() const { return blocks_; }
 
  private:
   std::vector<float> samples_;
-  SimTime first_block_time_ = -1;
   uint64_t blocks_ = 0;
 };
 
@@ -60,8 +58,6 @@ class HwAudioLowLevel : public AudioLowLevel {
   // Where played audio goes (not owned). May be null (audio discarded).
   void set_sink(PlaybackSink* sink) { sink_ = sink; }
 
-  uint64_t blocks_played() const { return blocks_played_; }
-
  private:
   void ScheduleNextDma();
   void OnDmaComplete();
@@ -71,7 +67,6 @@ class HwAudioLowLevel : public AudioLowLevel {
   AudioHighLevel* hld_ = nullptr;
   PlaybackSink* sink_ = nullptr;
   bool running_ = false;
-  uint64_t blocks_played_ = 0;
   Simulation::EventHandle dma_event_;
 };
 

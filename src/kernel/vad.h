@@ -85,7 +85,6 @@ class VadMasterDevice : public Device {
   void EnqueueConfig(const AudioConfig& config);
   bool HasRoom() const { return queued_audio_bytes_ < capacity_bytes_; }
   size_t queued_records() const { return queue_.size(); }
-  size_t queued_audio_bytes() const { return queued_audio_bytes_; }
 
   void set_pump(VadSlaveLowLevel* pump) { pump_ = pump; }
 

@@ -252,7 +252,6 @@ void SimNic::SetReceiveHandler(ReceiveHandler handler) {
 
 void SimNic::HandleArrival(const Datagram& datagram) {
   ++packets_received_;
-  bytes_received_ += datagram.payload.size();
   if (handler_) {
     handler_(datagram);
   }

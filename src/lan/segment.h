@@ -99,9 +99,6 @@ class EthernetSegment {
   // Average offered load on the wire since the first packet, bits/second.
   double average_utilization_bps() const { return wire_meter_.average_bps(); }
 
-  // Runtime impairment control (tests flip these mid-run).
-  void set_loss_probability(double p) { config_.loss_probability = p; }
-  void set_jitter(SimDuration j) { config_.jitter = j; }
   // Serialization reads the config at send time, so squeezing bandwidth
   // mid-run backs up the transmit queue exactly like a congested segment —
   // the deterministic fault the health-layer scenarios use.
@@ -199,17 +196,10 @@ class SimNic : public Transport {
 
   // Receive-side accounting for experiments.
   uint64_t packets_received() const { return packets_received_; }
-  uint64_t bytes_received() const { return bytes_received_; }
 
-  // Zone identity when routed through the zone path (-1 = not in a zone).
-  int zone_shard() const { return zone_shard_; }
-  int zone_member() const { return zone_member_; }
   // Counts an arrival the zone sink handed straight to the member speaker,
   // so receive-side accounting stays truthful on the batched path.
-  void NoteZoneDelivery(size_t bytes) {
-    ++packets_received_;
-    bytes_received_ += bytes;
-  }
+  void NoteZoneDelivery() { ++packets_received_; }
   // Counts an arrival and hands it to the receive handler: the segment's
   // delivery to NICs outside a zone, and a zone sink's for datagrams its
   // member speaker has no session for (management, announce, stale
@@ -229,7 +219,7 @@ class SimNic : public Transport {
   std::set<GroupId> desired_groups_;
   ReceiveHandler handler_;
   uint64_t packets_received_ = 0;
-  uint64_t bytes_received_ = 0;
+  // Zone identity when routed through the zone path (-1 = not in a zone).
   int zone_shard_ = -1;
   int zone_member_ = -1;
 };

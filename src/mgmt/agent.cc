@@ -355,7 +355,6 @@ void SpeakerAgent::OnDatagram(const Datagram& datagram) {
   if (request->target != 0 && request->target != nic_->node_id()) {
     return;
   }
-  ++requests_handled_;
   MgmtResponse response;
   response.request_id = request->request_id;
   response.responder = nic_->node_id();

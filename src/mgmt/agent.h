@@ -101,7 +101,6 @@ class SpeakerAgent {
   SpeakerAgent(Simulation* sim, Transport* nic, EthernetSpeaker* speaker);
 
   Mib* mib() { return &mib_; }
-  uint64_t requests_handled() const { return requests_handled_; }
 
   // Starts forwarding `engine`'s alert transitions as traps from this
   // agent's NIC. The engine must outlive the agent.
@@ -116,7 +115,6 @@ class SpeakerAgent {
   EthernetSpeaker* speaker_;
   Mib mib_;
   std::optional<GroupId> pre_override_group_;
-  uint64_t requests_handled_ = 0;
   std::unique_ptr<AlertTrapSender> trap_sender_;
 };
 

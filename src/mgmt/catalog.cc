@@ -16,7 +16,6 @@ void AnnounceService::Tick(SimTime now) {
   AnnouncePacket packet;
   packet.producer_clock = now;
   packet.entries = entries_;
-  ++sent_;
   (void)nic_->SendMulticast(kAnnounceGroup, SerializePacket(packet));
 }
 
@@ -38,7 +37,6 @@ void CatalogBrowser::OnDatagram(const Datagram& datagram) {
   if (announce == nullptr) {
     return;
   }
-  ++seen_;
   for (const AnnounceEntry& entry : announce->entries) {
     entries_[entry.stream_id] = TimedEntry{entry, sim_->now()};
   }

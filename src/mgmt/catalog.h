@@ -30,15 +30,12 @@ class AnnounceService {
   void Start() { task_.Start(/*fire_immediately=*/true); }
   void Stop() { task_.Stop(); }
 
-  uint64_t announcements_sent() const { return sent_; }
-
  private:
   void Tick(SimTime now);
 
   Simulation* sim_;
   Transport* nic_;
   std::vector<AnnounceEntry> entries_;
-  uint64_t sent_ = 0;
   PeriodicTask task_;
 };
 
@@ -55,8 +52,6 @@ class CatalogBrowser {
   Result<AnnounceEntry> Find(const std::string& name,
                              SimDuration max_age = Seconds(10)) const;
 
-  uint64_t announcements_seen() const { return seen_; }
-
   // For components that share the NIC and chain receive handlers.
   void HandleDatagram(const Datagram& datagram) { OnDatagram(datagram); }
 
@@ -70,7 +65,6 @@ class CatalogBrowser {
     SimTime last_seen;
   };
   std::map<uint32_t, TimedEntry> entries_;  // By stream id.
-  uint64_t seen_ = 0;
 };
 
 }  // namespace espk

@@ -130,14 +130,12 @@ std::optional<Bytes> ChunkAssembler::Add(const ScrapeChunk& chunk) {
 
 void ChunkAssembler::Reset() { *this = ChunkAssembler(); }
 
-ScrapeAgent::ScrapeAgent(Simulation* sim, Transport* nic,
+ScrapeAgent::ScrapeAgent(Transport* nic,
                          std::function<Bytes()> snapshot_source,
                          ScrapeAgentOptions options)
-    : sim_(sim),
-      nic_(nic),
+    : nic_(nic),
       snapshot_source_(std::move(snapshot_source)),
       options_(options) {
-  (void)sim_;
   (void)nic_->JoinGroup(kMgmtGroup);
   nic_->SetReceiveHandler([this](const Datagram& d) { OnDatagram(d); });
 }

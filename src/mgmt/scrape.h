@@ -94,8 +94,7 @@ struct ScrapeAgentOptions {
 class ScrapeAgent {
  public:
   // `nic` and `snapshot_source`'s captures must outlive the agent.
-  ScrapeAgent(Simulation* sim, Transport* nic,
-              std::function<Bytes()> snapshot_source,
+  ScrapeAgent(Transport* nic, std::function<Bytes()> snapshot_source,
               ScrapeAgentOptions options = {});
 
   ScrapeAgent(const ScrapeAgent&) = delete;
@@ -107,7 +106,6 @@ class ScrapeAgent {
  private:
   void OnDatagram(const Datagram& datagram);
 
-  Simulation* sim_;
   Transport* nic_;
   std::function<Bytes()> snapshot_source_;
   ScrapeAgentOptions options_;

@@ -18,11 +18,9 @@ std::string_view AlertStateName(AlertState state) {
   return "?";
 }
 
-AlertEngine::AlertEngine(Simulation* sim, TimeSeriesSampler* sampler,
+AlertEngine::AlertEngine(TimeSeriesSampler* sampler,
                          MetricsRegistry* registry)
-    : sim_(sim), sampler_(sampler), registry_(registry) {
-  (void)sim_;
-}
+    : sampler_(sampler), registry_(registry) {}
 
 void AlertEngine::AddRule(SloRule rule) {
   const size_t index = rules_.size();

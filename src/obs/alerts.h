@@ -79,8 +79,8 @@ class AlertEngine {
  public:
   // With a registry, AddRule publishes per-rule state gauges (see header
   // comment). The engine must outlive reads of those gauges.
-  AlertEngine(Simulation* sim, TimeSeriesSampler* sampler,
-              MetricsRegistry* registry = nullptr);
+  explicit AlertEngine(TimeSeriesSampler* sampler,
+                       MetricsRegistry* registry = nullptr);
 
   AlertEngine(const AlertEngine&) = delete;
   AlertEngine& operator=(const AlertEngine&) = delete;
@@ -133,7 +133,6 @@ class AlertEngine {
   void Transition(size_t index, bool firing, SimTime now);
   int FindRule(const std::string& rule_name) const;
 
-  Simulation* sim_;
   TimeSeriesSampler* sampler_;
   MetricsRegistry* registry_;
   std::vector<SloRule> rules_;

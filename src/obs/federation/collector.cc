@@ -141,8 +141,7 @@ void FleetCollector::OnDatagram(const Datagram& datagram) {
   }
   auto it = by_request_.find(chunk->request_id);
   if (it == by_request_.end()) {
-    ++stray_chunks_;  // Arrived after its attempt timed out.
-    return;
+    return;  // Arrived after its attempt timed out.
   }
   Target* target = it->second;
   chunks_received_->Increment();

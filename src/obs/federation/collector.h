@@ -76,7 +76,6 @@ class FleetCollector {
   uint64_t misses() const { return misses_->value(); }
   uint64_t stale_transitions() const { return stale_transitions_->value(); }
   uint64_t chunks_received() const { return chunks_received_->value(); }
-  uint64_t stray_chunks() const { return stray_chunks_; }
   uint64_t overruns() const { return overruns_; }
 
  private:
@@ -114,7 +113,6 @@ class FleetCollector {
   uint32_t next_request_id_ = 1;
 
   uint64_t cycles_ = 0;
-  uint64_t stray_chunks_ = 0;
   uint64_t overruns_ = 0;
   // The scrape.* counters on the self registry.
   Counter* attempts_;

@@ -40,8 +40,7 @@ FleetPlane::FleetPlane(EthernetSpeakerSystem* system) : system_(system) {
     SpanRecorder* recorder =
         spans != nullptr ? spans->FindRecorder(name) : nullptr;
     agents_.push_back(std::make_unique<ScrapeAgent>(
-        sim, nic.get(),
-        [registry, name, sim, recorder] {
+        nic.get(), [registry, name, sim, recorder] {
           StationSnapshot snapshot =
               SnapshotRegistry(*registry, name, sim->now());
           if (recorder != nullptr) {

@@ -12,18 +12,6 @@ namespace espk {
 
 namespace {
 
-const char* KindName(Metric::Kind kind) {
-  switch (kind) {
-    case Metric::Kind::kCounter:
-      return "counter";
-    case Metric::Kind::kGauge:
-      return "gauge";
-    case Metric::Kind::kHistogram:
-      return "summary";
-  }
-  return "untyped";
-}
-
 std::string FormatValue(double v) {
   // ostream default formatting, matching MetricsRegistry::TextExposition.
   std::ostringstream os;
@@ -63,8 +51,9 @@ std::string FederatedExposition(const FleetStore& store) {
     const std::string pname = PrometheusName(name);
     const MetricSample& exemplar = *family.exemplar;
     os << "# HELP " << pname << " "
-       << (exemplar.help.empty() ? name : exemplar.help) << "\n";
-    os << "# TYPE " << pname << " " << KindName(exemplar.kind) << "\n";
+       << EscapeHelp(exemplar.help.empty() ? name : exemplar.help) << "\n";
+    os << "# TYPE " << pname << " " << PrometheusTypeName(exemplar.kind)
+       << "\n";
     for (const auto& [station, sample] : family.by_station) {
       if (sample->kind == Metric::Kind::kHistogram) {
         for (double q : {0.5, 0.9, 0.99}) {

@@ -36,12 +36,10 @@ std::string SanitizeForFilename(const std::string& name) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(Simulation* sim, TimeSeriesSampler* sampler,
-                               AlertEngine* engine, PacketTracer* tracer,
-                               MetricsRegistry* registry,
+FlightRecorder::FlightRecorder(TimeSeriesSampler* sampler, AlertEngine* engine,
+                               PacketTracer* tracer, MetricsRegistry* registry,
                                const FlightRecorderOptions& options)
-    : sim_(sim),
-      sampler_(sampler),
+    : sampler_(sampler),
       engine_(engine),
       tracer_(tracer),
       registry_(registry),
@@ -196,7 +194,6 @@ void FlightRecorder::OnTransition(const AlertTransition& transition) {
     postmortems_.pop_front();
   }
   ++recorded_;
-  (void)sim_;
 }
 
 }  // namespace espk

@@ -45,9 +45,8 @@ class FlightRecorder {
   // Subscribes to `engine` transitions at construction; `tracer` and
   // `registry` may be null (the corresponding sections are omitted). All
   // pointers must outlive the recorder.
-  FlightRecorder(Simulation* sim, TimeSeriesSampler* sampler,
-                 AlertEngine* engine, PacketTracer* tracer,
-                 MetricsRegistry* registry,
+  FlightRecorder(TimeSeriesSampler* sampler, AlertEngine* engine,
+                 PacketTracer* tracer, MetricsRegistry* registry,
                  const FlightRecorderOptions& options = {});
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -64,7 +63,6 @@ class FlightRecorder {
  private:
   void OnTransition(const AlertTransition& transition);
 
-  Simulation* sim_;
   TimeSeriesSampler* sampler_;
   AlertEngine* engine_;
   PacketTracer* tracer_;

@@ -9,10 +9,10 @@ HealthMonitor::HealthMonitor(Simulation* sim, MetricsRegistry* registry,
                              PacketTracer* tracer,
                              const HealthOptions& options)
     : sampler_(std::make_unique<TimeSeriesSampler>(sim, options.sampler)),
-      engine_(std::make_unique<AlertEngine>(sim, sampler_.get(), registry)),
-      recorder_(std::make_unique<FlightRecorder>(sim, sampler_.get(),
-                                                 engine_.get(), tracer,
-                                                 registry, options.recorder)) {
+      engine_(std::make_unique<AlertEngine>(sampler_.get(), registry)),
+      recorder_(std::make_unique<FlightRecorder>(sampler_.get(), engine_.get(),
+                                                 tracer, registry,
+                                                 options.recorder)) {
   engine_->AttachToSampler();
 }
 

@@ -16,38 +16,6 @@ bool IsPromChar(char c) {
          (c >= '0' && c <= '9') || c == '_';
 }
 
-// Prometheus text format: in HELP lines, backslash and newline must be
-// escaped as \\ and \n or a multi-line help string corrupts the exposition.
-std::string EscapeHelp(const std::string& help) {
-  std::string out;
-  out.reserve(help.size());
-  for (char c : help) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-const char* KindName(Metric::Kind kind) {
-  switch (kind) {
-    case Metric::Kind::kCounter:
-      return "counter";
-    case Metric::Kind::kGauge:
-      return "gauge";
-    case Metric::Kind::kHistogram:
-      return "summary";
-  }
-  return "untyped";
-}
-
 std::string HexTraceId(uint64_t trace_id) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, trace_id);
@@ -73,6 +41,36 @@ std::string PrometheusName(const std::string& name) {
     out.push_back(IsPromChar(c) ? c : '_');
   }
   return out;
+}
+
+std::string EscapeHelp(const std::string& help) {
+  std::string out;
+  out.reserve(help.size());
+  for (char c : help) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+const char* PrometheusTypeName(Metric::Kind kind) {
+  switch (kind) {
+    case Metric::Kind::kCounter:
+      return "counter";
+    case Metric::Kind::kGauge:
+      return "gauge";
+    case Metric::Kind::kHistogram:
+      return "summary";
+  }
+  return "untyped";
 }
 
 Metric* MetricsRegistry::FindMutable(const std::string& name) {
@@ -153,7 +151,7 @@ std::string MetricsRegistry::TextExposition() const {
     const std::string pname = PrometheusName(m.name());
     os << "# HELP " << pname << " "
        << EscapeHelp(m.help().empty() ? m.name() : m.help()) << "\n";
-    os << "# TYPE " << pname << " " << KindName(m.kind()) << "\n";
+    os << "# TYPE " << pname << " " << PrometheusTypeName(m.kind()) << "\n";
     switch (m.kind()) {
       case Metric::Kind::kCounter:
         os << pname << " " << static_cast<const Counter&>(m).value() << stamp

@@ -189,6 +189,14 @@ class MetricsRegistry {
 // "kernel.silence_bytes" -> "espk_kernel_silence_bytes".
 std::string PrometheusName(const std::string& name);
 
+// HELP text for the Prometheus text format: backslash and newline escaped
+// as \\ and \n, so a multi-line help string cannot inject lines into the
+// exposition.
+std::string EscapeHelp(const std::string& help);
+
+// TYPE name for a metric kind: "counter", "gauge" or "summary".
+const char* PrometheusTypeName(Metric::Kind kind);
+
 }  // namespace espk
 
 #endif  // SRC_OBS_METRICS_H_

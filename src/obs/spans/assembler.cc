@@ -199,7 +199,6 @@ void SpanAssembler::Retain(SpanTree tree) {
     retained_.erase(retained_order_.front());
     MarkDecided(retained_order_.front());
     retained_order_.pop_front();
-    ++retained_evicted_;
   }
 }
 

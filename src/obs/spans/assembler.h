@@ -92,7 +92,6 @@ class SpanAssembler {
   uint64_t orphans() const { return orphans_; }
   uint64_t sampler_discarded() const { return sampler_discarded_; }
   uint64_t sampler_retained() const { return sampler_retained_; }
-  uint64_t retained_evicted() const { return retained_evicted_; }
 
   const TailSamplerOptions& options() const { return options_; }
 
@@ -130,7 +129,6 @@ class SpanAssembler {
   uint64_t orphans_ = 0;
   uint64_t sampler_discarded_ = 0;
   uint64_t sampler_retained_ = 0;
-  uint64_t retained_evicted_ = 0;
 };
 
 // Registers the assembler's self-metrics ("spans.sampler_discarded",

@@ -101,7 +101,6 @@ void ZoneCollector::OnBarrier(const ShardGroup::EpochRecord& record) {
     snap.messages_posted = shards_->zone_messages_posted(z);
     snap.inbox_high_watermark = shards_->zone_inbox_high_watermark(z);
     snap.events_processed = shards_->sim(z)->events_processed();
-    snap.timer_cascades = shards_->sim(z)->timer_cascades();
     const PacketTracer* tracer = zone_tracers_[static_cast<size_t>(z)];
     snap.trace_recorded = tracer->recorded();
     snap.trace_dropped = tracer->dropped();
@@ -203,10 +202,6 @@ void ZoneCollector::RegisterZoneStation(int zone, MetricsRegistry* registry) {
       "runtime.events_processed",
       [snap] { return static_cast<double>(snap->events_processed); },
       "Events this zone's loop has processed");
-  registry->GetGauge(
-      "runtime.timer_cascades",
-      [snap] { return static_cast<double>(snap->timer_cascades); },
-      "Timer-wheel entries re-filed by level cascades");
   registry->GetGauge(
       "runtime.trace_recorded",
       [snap] { return static_cast<double>(snap->trace_recorded); },

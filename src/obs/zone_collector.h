@@ -14,10 +14,10 @@
 //     observe only the mirror.
 //  2. Snapshots runtime self-telemetry per zone — epoch run / barrier-wait
 //     wall time (histograms), drained message counts, the inbox
-//     high-watermark, events processed, timer-wheel cascades, and
-//     per-zone tracer ring health — for the per-zone station registries
-//     ("zone-<z>") that EnableZoneTelemetry() creates and the federation
-//     plane scrapes like any speaker.
+//     high-watermark, events processed, and per-zone tracer ring health —
+//     for the per-zone station registries ("zone-<z>") that
+//     EnableZoneTelemetry() creates and the federation plane scrapes like
+//     any speaker.
 //  3. Fires driven periodic callbacks (the health sampler's tick, the span
 //     plane's flush) at barriers aligned exactly to their period, via
 //     NextAlignment(): the epoch planner clamps epochs so a barrier lands
@@ -80,9 +80,8 @@ class ZoneCollector : public ShardGroup::BarrierHook {
   // runtime.epochs, runtime.epoch_run_us / runtime.barrier_wait_us
   // (histograms plus .p50/.p99 gauges), runtime.drained_messages,
   // runtime.messages_posted, runtime.inbox_high_watermark,
-  // runtime.events_processed, runtime.timer_cascades,
-  // runtime.trace_recorded / trace_dropped / trace_ring. Zone 0
-  // additionally carries the group-wide gauges:
+  // runtime.events_processed, runtime.trace_recorded / trace_dropped /
+  // trace_ring. Zone 0 additionally carries the group-wide gauges:
   // runtime.executor_workers / executor_busy_ms / executor_utilization and
   // runtime.merged_trace_events / merge_lost. All gauges read barrier-time
   // snapshots, so scraping them mid-epoch from another shard is safe.
@@ -115,7 +114,6 @@ class ZoneCollector : public ShardGroup::BarrierHook {
     uint64_t messages_posted = 0;
     uint64_t inbox_high_watermark = 0;
     uint64_t events_processed = 0;
-    uint64_t timer_cascades = 0;
     uint64_t trace_recorded = 0;
     uint64_t trace_dropped = 0;
     uint64_t trace_ring = 0;

@@ -102,7 +102,6 @@ void GatewayPlayer::OnDatagram(const Datagram& datagram) {
   // Client-side buffering: if the device (VAD) is applying backpressure and
   // our buffer is deep, drop — a live stream cannot wait forever.
   if (pending_.size() > static_cast<size_t>(config_.bytes_per_second())) {
-    ++chunks_dropped_;
     return;
   }
   pending_.insert(pending_.end(), chunk->pcm.begin(), chunk->pcm.end());

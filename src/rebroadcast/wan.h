@@ -75,7 +75,6 @@ class GatewayPlayer {
   void Stop();
 
   uint64_t chunks_received() const { return chunks_received_; }
-  uint64_t chunks_dropped() const { return chunks_dropped_; }
 
  private:
   void OnDatagram(const Datagram& datagram);
@@ -91,7 +90,6 @@ class GatewayPlayer {
   bool write_outstanding_ = false;
   Bytes pending_;
   uint64_t chunks_received_ = 0;
-  uint64_t chunks_dropped_ = 0;
 };
 
 }  // namespace espk

@@ -64,8 +64,7 @@ Result<MerkleProof> MerkleProof::Deserialize(const Bytes& wire) {
   return proof;
 }
 
-MerkleTree::MerkleTree(const std::vector<Bytes>& leaves)
-    : leaf_count_(leaves.size()) {
+MerkleTree::MerkleTree(const std::vector<Bytes>& leaves) {
   assert(!leaves.empty() && "Merkle tree needs at least one leaf");
   std::vector<Digest> level;
   level.reserve(leaves.size());

@@ -30,7 +30,6 @@ class MerkleTree {
   explicit MerkleTree(const std::vector<Bytes>& leaves);
 
   const Digest& root() const { return levels_.back()[0]; }
-  size_t leaf_count() const { return leaf_count_; }
 
   MerkleProof ProveLeaf(uint32_t index) const;
 
@@ -40,7 +39,6 @@ class MerkleTree {
                          const MerkleProof& proof);
 
  private:
-  size_t leaf_count_;
   std::vector<std::vector<Digest>> levels_;  // levels_[0] = leaf hashes.
 };
 

@@ -147,11 +147,6 @@ void TeslaVerifier::ReleaseInterval(uint32_t interval, const Bytes& key) {
   for (const Pending& p : it->second) {
     Digest expected = HmacSha256(mac_key, p.message);
     bool authentic = ConstantTimeEqual(expected, p.mac);
-    if (authentic) {
-      ++released_authentic_;
-    } else {
-      ++released_forged_;
-    }
     if (released_) {
       released_(p.message, authentic);
     }
@@ -167,7 +162,6 @@ void TeslaVerifier::Ingest(const Bytes& message, const TeslaTag& tag) {
       !verified_keys_.empty() &&
       tag.interval <= verified_keys_.rbegin()->first;
   if (key_already_public) {
-    ++released_forged_;
     if (released_) {
       released_(message, false);
     }

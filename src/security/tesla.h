@@ -79,8 +79,6 @@ class TeslaVerifier {
   // their interval's key is disclosed by a later packet.
   void Ingest(const Bytes& message, const TeslaTag& tag);
 
-  uint64_t released_authentic() const { return released_authentic_; }
-  uint64_t released_forged() const { return released_forged_; }
   size_t buffered() const { return buffered_count_; }
 
  private:
@@ -102,8 +100,6 @@ class TeslaVerifier {
   };
   std::map<uint32_t, std::vector<Pending>> pending_;
   size_t buffered_count_ = 0;
-  uint64_t released_authentic_ = 0;
-  uint64_t released_forged_ = 0;
 };
 
 }  // namespace espk

@@ -55,9 +55,9 @@ void ShardGroup::Post(int src, int dst, SimTime at, std::function<void()> fn) {
   link.high_watermark = std::max(link.high_watermark, link.inbox.size());
 }
 
-SimTime ShardGroup::NextEventTime() {
+SimTime ShardGroup::NextEventTime() const {
   SimTime next = Simulation::kNoPendingEvent;
-  for (auto& shard : shards_) {
+  for (const auto& shard : shards_) {
     next = std::min(next, shard->next_pending_time());
   }
   return next;

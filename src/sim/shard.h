@@ -1,6 +1,6 @@
 // Sharded simulation runtime: per-zone event loops synchronized by a
 // conservative lookahead barrier. Each shard is a Simulation (its own
-// virtual clock + timer wheel) hosting one zone of the fleet; a ShardGroup
+// virtual clock + event queue) hosting one zone of the fleet; a ShardGroup
 // advances all shards in lockstep epochs and ferries cross-shard work
 // through per-link inboxes. A one-shard group is an ordinary event loop
 // driven in lookahead-sized epochs (no link exists, so nothing crosses).
@@ -178,7 +178,7 @@ class ShardGroup {
   void RunEpoch(SimTime epoch_end);
   void DrainInto(int dst);
   // Earliest pending event across shards, kNoPendingEvent when none.
-  SimTime NextEventTime();
+  SimTime NextEventTime() const;
   // Earliest NextAlignment() over registered hooks.
   SimTime HookAlignment() const;
 

@@ -2,21 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <utility>
 
 namespace espk {
+namespace {
+
+// Comparator for std::push_heap/pop_heap, which build max-heaps: "later"
+// on (time, seq) puts the earliest stub at the front.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+};
+
+}  // namespace
 
 Simulation::EventHandle Simulation::ScheduleAt(SimTime at, Callback cb) {
   assert(cb && "scheduling a null callback");
-  TimerEntry ev;
-  ev.time = std::max(at, now_);
-  ev.seq = next_seq_++;
-  ev.id = next_id_++;
-  EventHandle handle{ev.id};
-  callbacks_.Insert(ev.id, std::move(cb));
-  wheel_.Schedule(ev);
-  return handle;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const uint64_t seq = next_seq_++;
+  slots_[slot].cb = std::move(cb);
+  slots_[slot].seq = seq;
+  heap_.push_back(Stub{std::max(at, now_), seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), kLater);
+  return EventHandle{seq, slot};
 }
 
 Simulation::EventHandle Simulation::ScheduleAfter(SimDuration delay,
@@ -25,26 +39,45 @@ Simulation::EventHandle Simulation::ScheduleAfter(SimDuration delay,
 }
 
 bool Simulation::Cancel(EventHandle handle) {
-  // Erasing the table entry destroys the callback (and any state it
-  // captured) right now; the queued stub is skipped when it eventually pops.
-  return handle.valid() && callbacks_.Erase(handle.id);
+  if (!handle.valid()) {
+    return false;
+  }
+  assert(handle.slot < slots_.size() && "handle from another Simulation");
+  Slot& s = slots_[handle.slot];
+  if (s.seq != handle.seq) {
+    return false;  // Already ran or cancelled; the slot may hold a newer event.
+  }
+  // Free the slot before the callback dies: destroying captured state may
+  // schedule or cancel events and so reallocate slots_. The queued stub is
+  // skipped when it eventually pops.
+  Callback doomed = std::move(s.cb);
+  s.seq = 0;
+  free_slots_.push_back(handle.slot);
+  return true;
 }
 
-bool Simulation::RunOne() {
-  TimerEntry ev;
-  while (wheel_.PopEarliest(std::numeric_limits<SimTime>::max(), &ev)) {
-    Callback cb;
-    if (!callbacks_.Take(ev.id, &cb)) {
+bool Simulation::RunNext(SimTime limit) {
+  while (!heap_.empty() && heap_.front().time <= limit) {
+    std::pop_heap(heap_.begin(), heap_.end(), kLater);
+    const Stub stub = heap_.back();
+    heap_.pop_back();
+    Slot& s = slots_[stub.slot];
+    if (s.seq != stub.seq) {
       continue;  // Cancelled: only the stub was left behind.
     }
-    assert(ev.time >= now_ && "event queue went backwards");
-    now_ = ev.time;
+    Callback cb = std::move(s.cb);
+    s.seq = 0;
+    free_slots_.push_back(stub.slot);
+    assert(stub.time >= now_ && "event queue went backwards");
+    now_ = stub.time;
     ++events_processed_;
     cb();
     return true;
   }
   return false;
 }
+
+bool Simulation::RunOne() { return RunNext(kNoPendingEvent); }
 
 void Simulation::Run() {
   while (RunOne()) {
@@ -53,26 +86,12 @@ void Simulation::Run() {
 
 void Simulation::RunUntil(SimTime t) {
   assert(t >= now_ && "cannot run the clock backwards");
-  TimerEntry ev;
-  while (wheel_.PopEarliest(t, &ev)) {
-    Callback cb;
-    if (!callbacks_.Take(ev.id, &cb)) {
-      continue;  // Cancelled stub.
-    }
-    assert(ev.time >= now_ && "event queue went backwards");
-    now_ = ev.time;
-    ++events_processed_;
-    cb();
+  while (RunNext(t)) {
   }
   now_ = t;
 }
 
 void Simulation::RunFor(SimDuration d) { RunUntil(now_ + d); }
-
-SimTime Simulation::next_pending_time() {
-  TimerEntry e;
-  return wheel_.PeekEarliest(&e) ? e.time : kNoPendingEvent;
-}
 
 PeriodicTask::PeriodicTask(Simulation* sim, SimDuration period,
                            TickCallback cb)

@@ -9,10 +9,13 @@
 // which the protocol relies on ("everybody receives a multicast packet at the
 // same time", §3.2).
 //
-// The queue is a hashed hierarchical timer wheel (src/sim/timer_wheel.h)
-// plus an open-addressing callback table (src/sim/event_map.h): O(1)
-// schedule, no per-event node allocation. tests/timer_wheel_test.cc runs it
-// against a binary-heap event loop as the ordering reference.
+// The queue is a binary min-heap of small (time, seq, slot) stubs over a
+// slab of callback slots with a free list. Zones batch per-speaker work into
+// one event per instant, so a shard holds hundreds to a few thousand pending
+// events (DESIGN.md records the measured peaks) and the heap stays shallow;
+// the slab and heap keep their capacity, so the steady state does not
+// allocate. tests/sim_test.cc runs it against a reference event loop built
+// on std::priority_queue and std::unordered_map.
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
@@ -21,8 +24,6 @@
 #include <vector>
 
 #include "src/base/time_types.h"
-#include "src/sim/event_map.h"
-#include "src/sim/timer_wheel.h"
 
 namespace espk {
 
@@ -30,10 +31,14 @@ class Simulation {
  public:
   using Callback = std::function<void()>;
 
-  // Identifies a scheduled event so it can be cancelled. Id 0 is never used.
+  // Identifies a scheduled event so it can be cancelled: the event's
+  // scheduling sequence number (never 0) and the slab slot holding its
+  // callback. The slot is reused once the event runs or is cancelled; the
+  // seq tells a stale handle from the slot's new occupant.
   struct EventHandle {
-    uint64_t id = 0;
-    bool valid() const { return id != 0; }
+    uint64_t seq = 0;
+    uint32_t slot = 0;
+    bool valid() const { return seq != 0; }
   };
 
   Simulation() = default;
@@ -48,10 +53,10 @@ class Simulation {
   EventHandle ScheduleAfter(SimDuration delay, Callback cb);
 
   // Cancels a pending event. Cancelling an already-run or already-cancelled
-  // event is a harmless no-op. Returns true if the event was still pending.
-  // The callback — and whatever state it captured — is destroyed here, not
-  // when the event's deadline would have popped: callbacks live out-of-line
-  // in an id-keyed table, and only a small (time, seq, id) stub stays queued.
+  // event is a harmless no-op, even after its slot holds a newer event.
+  // Returns true if the event was still pending. The callback — and whatever
+  // state it captured — is destroyed here, not when the event's deadline
+  // would have popped: only the small (time, seq, slot) stub stays queued.
   bool Cancel(EventHandle handle);
 
   // Runs the single earliest event; returns false if the queue is empty.
@@ -66,11 +71,9 @@ class Simulation {
   // RunUntil(now() + d).
   void RunFor(SimDuration d);
 
-  size_t pending_events() const { return callbacks_.size(); }
+  // Live events only; stubs of cancelled events are not counted.
+  size_t pending_events() const { return slots_.size() - free_slots_.size(); }
   uint64_t events_processed() const { return events_processed_; }
-
-  // Timer-wheel cascade count. Part of the sharded runtime's self-telemetry.
-  uint64_t timer_cascades() const { return wheel_.cascades(); }
 
   // Lower bound on the time of the next live event: the earliest queued
   // stub, which may belong to an already-cancelled event (so the true next
@@ -78,17 +81,33 @@ class Simulation {
   // is queued. The sharded runtime's epoch planner uses this to jump over
   // idle stretches instead of grinding lookahead-sized epochs through them.
   static constexpr SimTime kNoPendingEvent = INT64_MAX;
-  SimTime next_pending_time();
+  SimTime next_pending_time() const {
+    return heap_.empty() ? kNoPendingEvent : heap_.front().time;
+  }
 
  private:
+  struct Stub {
+    SimTime time = 0;
+    uint64_t seq = 0;
+    uint32_t slot = 0;
+  };
+  struct Slot {
+    Callback cb;
+    uint64_t seq = 0;  // The pending event's seq; 0 while the slot is free.
+  };
+
+  // Pops stubs until one whose event is still pending and due by `limit`
+  // runs; false when no such event is queued.
+  bool RunNext(SimTime limit);
+
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
+  uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
-  // Stubs of pending events. A popped stub whose id is no longer in
-  // callbacks_ is a cancelled event's residue and is skipped.
-  TimerWheel wheel_;
-  EventMap callbacks_;  // Pending events only.
+  // Min-heap on (time, seq). A popped stub whose slot no longer holds its
+  // seq is a cancelled event's residue and is skipped.
+  std::vector<Stub> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 // Repeats a callback with a fixed period until stopped. The callback receives
@@ -108,7 +127,6 @@ class PeriodicTask {
   void Stop();
   bool running() const { return running_; }
 
-  void set_period(SimDuration period) { period_ = period; }
   SimDuration period() const { return period_; }
 
  private:

@@ -15,9 +15,7 @@ constexpr uint32_t kMaxGapFillPackets = 1000;
 
 }  // namespace
 
-StreamRecorder::StreamRecorder(Simulation* sim, Transport* nic)
-    : sim_(sim), nic_(nic) {
-  (void)sim_;
+StreamRecorder::StreamRecorder(Transport* nic) : nic_(nic) {
   nic_->SetReceiveHandler([this](const Datagram& d) { OnDatagram(d); });
 }
 

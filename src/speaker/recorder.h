@@ -18,7 +18,6 @@
 #include "src/codec/codec.h"
 #include "src/lan/transport.h"
 #include "src/proto/wire.h"
-#include "src/sim/simulation.h"
 
 namespace espk {
 
@@ -32,7 +31,7 @@ struct RecorderStats {
 
 class StreamRecorder {
  public:
-  StreamRecorder(Simulation* sim, Transport* nic);
+  explicit StreamRecorder(Transport* nic);
 
   // Joins `group` and starts capturing. Like a speaker, nothing can be
   // decoded until the first control packet arrives.
@@ -55,7 +54,6 @@ class StreamRecorder {
  private:
   void OnDatagram(const Datagram& datagram);
 
-  Simulation* sim_;
   Transport* nic_;
   std::optional<GroupId> group_;
   std::optional<AudioConfig> config_;

@@ -75,7 +75,7 @@ void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
     member.nic->HandleArrival(datagram);
     return;
   }
-  member.nic->NoteZoneDelivery(datagram.payload.size());
+  member.nic->NoteZoneDelivery();
   PendingDecode pending;
   member.speaker->IngestParsed(parsed, session, &pending);
   if (pending.valid) {

@@ -330,6 +330,30 @@ TEST(FederatedExpositionTest, RendersFamiliesWithStationLabels) {
       << text;
 }
 
+TEST(FederatedExpositionTest, EscapesHelpTextScrapedOffTheWire) {
+  // HELP text is whatever the station put on the mgmt wire. A raw newline
+  // in it must stay inside the HELP line, not inject a sample.
+  StationSnapshot snap;
+  snap.station = "es-9";
+  snap.at = Seconds(1);
+  MetricSample sample =
+      NumericSample("speaker.late_drops", Metric::Kind::kCounter, 3.0);
+  sample.help = "drops\nespk_injected{station=\"es-9\"} 1e9";
+  snap.samples.push_back(sample);
+  Result<StationSnapshot> received =
+      StationSnapshot::Deserialize(snap.Serialize());
+  ASSERT_TRUE(received.ok());
+  FleetStore store(8);
+  store.Ingest(*received, Seconds(1));
+  const std::string text = FederatedExposition(store);
+  ValidateExposition(text);
+  EXPECT_EQ(text.find("\nespk_injected"), std::string::npos) << text;
+  EXPECT_NE(text.find("# HELP espk_speaker_late_drops "
+                      "drops\\nespk_injected{station=\"es-9\"} 1e9\n"),
+            std::string::npos)
+      << text;
+}
+
 // ------------------------------------------------------------ End to end --
 
 // Five speakers and one channel, the fleet plane scraping all seven

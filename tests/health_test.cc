@@ -187,7 +187,7 @@ class AlertEngineTest : public ::testing::Test {
 };
 
 TEST_F(AlertEngineTest, HysteresisHoldsThroughForAndClearDurations) {
-  AlertEngine engine(&sim_, &sampler_);
+  AlertEngine engine(&sampler_);
   engine.AddRule({.name = "high",
                   .series = "sig",
                   .aggregate = AlertAggregate::kLatest,
@@ -236,7 +236,7 @@ TEST_F(AlertEngineTest, HysteresisHoldsThroughForAndClearDurations) {
 }
 
 TEST_F(AlertEngineTest, ZeroDurationsFireAndResolveImmediately) {
-  AlertEngine engine(&sim_, &sampler_);
+  AlertEngine engine(&sampler_);
   engine.AddRule({.name = "instant",
                   .series = "sig",
                   .threshold = 10.0});
@@ -251,7 +251,7 @@ TEST_F(AlertEngineTest, ZeroDurationsFireAndResolveImmediately) {
 }
 
 TEST_F(AlertEngineTest, LowWatermarkRuleArmsOnlyAfterHealthySignal) {
-  AlertEngine engine(&sim_, &sampler_);
+  AlertEngine engine(&sampler_);
   engine.AddRule({.name = "starved",
                   .series = "sig",
                   .aggregate = AlertAggregate::kLatest,
@@ -274,7 +274,7 @@ TEST_F(AlertEngineTest, LowWatermarkRuleArmsOnlyAfterHealthySignal) {
 }
 
 TEST_F(AlertEngineTest, RegistryAttachedEnginePublishesStateGauges) {
-  AlertEngine engine(&sim_, &sampler_, &registry_);
+  AlertEngine engine(&sampler_, &registry_);
   engine.AddRule({.name = "high", .series = "sig", .threshold = 10.0});
   const auto* state =
       static_cast<const Gauge*>(registry_.Find("alert.high.state"));
@@ -297,7 +297,7 @@ TEST_F(AlertEngineTest, RegistryAttachedEnginePublishesStateGauges) {
 }
 
 TEST_F(AlertEngineTest, RuleOverMissingSeriesStaysQuiet) {
-  AlertEngine engine(&sim_, &sampler_);
+  AlertEngine engine(&sampler_);
   engine.AddRule({.name = "ghost", .series = "nope", .threshold = -1.0});
   engine.Evaluate(Milliseconds(100));
   // Aggregate over a missing series is 0.0, which breaches "> -1" — the
@@ -315,7 +315,7 @@ TEST(FlightRecorderTest, FiringTransitionProducesValidPostmortem) {
   PacketTracer tracer(&sim);
   TimeSeriesSampler sampler(&sim);
   sampler.Watch("sig", signal);
-  AlertEngine engine(&sim, &sampler, &registry);
+  AlertEngine engine(&sampler, &registry);
   engine.AddRule({.name = "high",
                   .series = "sig",
                   .threshold = 10.0,
@@ -323,8 +323,7 @@ TEST(FlightRecorderTest, FiringTransitionProducesValidPostmortem) {
   FlightRecorderOptions options;
   options.trace_events = 8;
   options.series_points = 4;
-  FlightRecorder recorder(&sim, &sampler, &engine, &tracer, &registry,
-                          options);
+  FlightRecorder recorder(&sampler, &engine, &tracer, &registry, options);
 
   for (uint32_t seq = 0; seq < 20; ++seq) {
     tracer.Record(1, seq, TraceStage::kEncode, 3);
@@ -386,15 +385,14 @@ RecordedFire FireOnceInto(const std::string& output_dir) {
   PacketTracer tracer(&sim);
   TimeSeriesSampler sampler(&sim);
   sampler.Watch("sig", signal);
-  AlertEngine engine(&sim, &sampler, &registry);
+  AlertEngine engine(&sampler, &registry);
   engine.AddRule({.name = "speaker.0.high",
                   .series = "sig",
                   .threshold = 10.0,
                   .help = "signal too high"});
   FlightRecorderOptions options;
   options.output_dir = output_dir;
-  FlightRecorder recorder(&sim, &sampler, &engine, &tracer, &registry,
-                          options);
+  FlightRecorder recorder(&sampler, &engine, &tracer, &registry, options);
   for (uint32_t seq = 0; seq < 300; ++seq) {
     tracer.Record(1, seq, TraceStage::kEncode, 3);
   }
@@ -501,12 +499,11 @@ TEST(FlightRecorderTest, PostmortemRingIsBounded) {
   Counter* signal = registry.GetCounter("sig");
   TimeSeriesSampler sampler(&sim);
   sampler.Watch("sig", signal);
-  AlertEngine engine(&sim, &sampler);
+  AlertEngine engine(&sampler);
   engine.AddRule({.name = "flappy", .series = "sig", .threshold = 10.0});
   FlightRecorderOptions options;
   options.max_postmortems = 3;
-  FlightRecorder recorder(&sim, &sampler, &engine, nullptr, nullptr,
-                          options);
+  FlightRecorder recorder(&sampler, &engine, nullptr, nullptr, options);
 
   // Flap the alert 5 times across sim time.
   for (int i = 0; i < 5; ++i) {

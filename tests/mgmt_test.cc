@@ -535,7 +535,7 @@ TEST(MetricsMibTest, ExportAlertsPublishesPerRuleRows) {
   Counter* signal = registry.GetCounter("sig");
   TimeSeriesSampler sampler(&sim);
   sampler.Watch("sig", signal);
-  AlertEngine engine(&sim, &sampler);
+  AlertEngine engine(&sampler);
   engine.AddRule({.name = "high", .series = "sig", .threshold = 10.0});
   engine.AddRule({.name = "low",
                   .series = "sig",
@@ -818,8 +818,8 @@ TEST(ScrapeAgentTest, AnswersTargetedRequestsWithUnicastChunks) {
   const Bytes snapshot = {1, 2, 3, 4, 5};
   ScrapeAgentOptions options;
   options.max_chunk_bytes = 2;  // Forces real fragmentation: 3 chunks.
-  ScrapeAgent agent(&sim, station_nic.get(),
-                    [&snapshot] { return snapshot; }, options);
+  ScrapeAgent agent(station_nic.get(), [&snapshot] { return snapshot; },
+                    options);
   ChunkAssembler assembler;
   std::optional<Bytes> reassembled;
   console_nic->SetReceiveHandler([&](const Datagram& d) {

@@ -16,7 +16,7 @@ struct RecorderRig {
     rb.codec_override = CodecId::kRaw;  // Bit-exact capture for comparison.
     channel = *system.CreateChannel("program", rb);
     nic = system.lan()->CreateNic();
-    recorder = std::make_unique<StreamRecorder>(system.sim(), nic.get());
+    recorder = std::make_unique<StreamRecorder>(nic.get());
   }
 
   EthernetSpeakerSystem system;
@@ -127,7 +127,7 @@ struct HandFedRecorder {
       : segment(&sim, SegmentConfig{}),
         producer(segment.CreateNic()),
         nic(segment.CreateNic()),
-        recorder(&sim, nic.get()) {
+        recorder(nic.get()) {
     EXPECT_TRUE(recorder.StartRecording(kFirstChannelGroup).ok());
     const AudioConfig config{8000, 1, AudioEncoding::kLinearS16};
     ControlPacket control;

@@ -1,5 +1,5 @@
 // The sharded runtime's headline guarantee, end to end: the SAME fleet run
-// in one zone (one event loop) and in four zones (SPSC handoff, epoch
+// in one zone (one event loop) and in four zones (per-link inboxes, epoch
 // barriers) — with one executor thread or several — produces bit-identical
 // results. "Results" is taken broadly: every speaker's stats struct, its
 // rendered PCM, the LAN's wire accounting, and the merged per-packet trace

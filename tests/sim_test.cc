@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/base/prng.h"
 #include "src/sim/simulation.h"
 
 namespace espk {
@@ -132,6 +139,188 @@ TEST(SimulationTest, CascadingEventsAtSameInstant) {
   sim.ScheduleAt(0, recurse);
   sim.Run();
   EXPECT_EQ(depth, 5);
+}
+
+TEST(SimulationTest, StaleHandleOfRunEventLeavesSlotsNewEventAlone) {
+  // A run event frees its slot for the next schedule; the old handle must
+  // not reach the new occupant.
+  Simulation sim;
+  const auto ran = sim.ScheduleAt(Milliseconds(1), [] {});
+  sim.Run();
+  int fired = 0;
+  const auto fresh = sim.ScheduleAt(Milliseconds(2), [&] { ++fired; });
+  ASSERT_EQ(fresh.slot, ran.slot);  // The slot was reused.
+  EXPECT_FALSE(sim.Cancel(ran));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.Cancel(fresh));
+}
+
+TEST(SimulationTest, StaleHandleOfCancelledEventLeavesSlotsNewEventAlone) {
+  // The cancelled event's stub stays queued at 10 ms while a newer event
+  // at 20 ms takes its slot: neither the stale handle nor the stale stub
+  // may touch the newcomer.
+  Simulation sim;
+  const auto cancelled = sim.ScheduleAt(Milliseconds(10), [] {
+    ADD_FAILURE() << "cancelled event ran";
+  });
+  ASSERT_TRUE(sim.Cancel(cancelled));
+  std::vector<SimTime> fired;
+  const auto fresh =
+      sim.ScheduleAt(Milliseconds(20), [&] { fired.push_back(sim.now()); });
+  ASSERT_EQ(fresh.slot, cancelled.slot);
+  EXPECT_FALSE(sim.Cancel(cancelled));
+  sim.Run();
+  EXPECT_EQ(fired, std::vector<SimTime>({Milliseconds(20)}));
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(SimulationTest, SameInstantFifoSurvivesCancelsAndSlotReuse) {
+  // Cancels free low slots that later schedules reuse, so slot order and
+  // scheduling order diverge; same-instant events must still run in
+  // scheduling order.
+  Simulation sim;
+  std::vector<int> order;
+  std::vector<int> expected;
+  std::vector<std::pair<int, Simulation::EventHandle>> live;
+  for (int i = 0; i < 500; ++i) {
+    const auto handle =
+        sim.ScheduleAt(Milliseconds(7), [&order, i] { order.push_back(i); });
+    live.emplace_back(i, handle);
+    if (i % 3 == 2) {
+      // Cancel the oldest live event: its slot is reused by the next one.
+      ASSERT_TRUE(sim.Cancel(live.front().second));
+      live.erase(live.begin());
+    }
+  }
+  for (const auto& [label, handle] : live) {
+    expected.push_back(label);
+  }
+  EXPECT_EQ(sim.pending_events(), live.size());
+  sim.Run();
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SimulationTest, PendingEventsCountsLiveEventsOnly) {
+  Simulation sim;
+  const auto a = sim.ScheduleAt(Milliseconds(1), [] {});
+  sim.ScheduleAt(Milliseconds(2), [] {});
+  sim.ScheduleAt(Milliseconds(3), [] {});
+  EXPECT_EQ(sim.pending_events(), 3u);
+  ASSERT_TRUE(sim.Cancel(a));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  // The cancelled stub is still queued, so the next-event time is only a
+  // lower bound.
+  EXPECT_EQ(sim.next_pending_time(), Milliseconds(1));
+  ASSERT_TRUE(sim.RunOne());
+  EXPECT_EQ(sim.now(), Milliseconds(2));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.next_pending_time(), Simulation::kNoPendingEvent);
+}
+
+// The reference Simulation must match: a std::priority_queue of (time,
+// seq, id) entries over callbacks in an id-keyed std::unordered_map, with
+// cancelled ids skipped when they pop. Ids are never reused, so it shares
+// none of the slab's slot bookkeeping.
+class HeapEventLoop {
+ public:
+  struct EventHandle {
+    uint64_t id = 0;
+  };
+
+  SimTime now() const { return now_; }
+
+  EventHandle ScheduleAt(SimTime at, std::function<void()> cb) {
+    const Entry entry{std::max(at, now_), next_seq_++, next_id_++};
+    callbacks_.emplace(entry.id, std::move(cb));
+    queue_.push(entry);
+    return EventHandle{entry.id};
+  }
+
+  bool Cancel(EventHandle handle) { return callbacks_.erase(handle.id) > 0; }
+
+  void Run() {
+    while (!queue_.empty()) {
+      const Entry entry = queue_.top();
+      queue_.pop();
+      auto it = callbacks_.find(entry.id);
+      if (it == callbacks_.end()) {
+        continue;  // Cancelled.
+      }
+      std::function<void()> cb = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = entry.time;
+      cb();
+    }
+  }
+
+ private:
+  struct Entry {
+    SimTime time = 0;
+    uint64_t seq = 0;
+    uint64_t id = 0;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t next_id_ = 1;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
+};
+
+// Simulation must produce the reference's execution exactly: same callback
+// order, same clock, same Cancel results — including cancels of handles
+// whose slot a newer event now holds. This is the bit-identity foundation
+// everything above the simulation relies on.
+TEST(SimulationEngineTest, MatchesHeapReference) {
+  Prng seeds(99);
+  for (int round = 0; round < 10; ++round) {
+    const uint64_t seed = seeds.NextBelow(1u << 30);
+    auto run = [seed](auto& sim) {
+      using Handle =
+          typename std::remove_reference_t<decltype(sim)>::EventHandle;
+      Prng prng(seed);
+      std::vector<std::pair<uint64_t, SimTime>> executed;
+      std::vector<bool> cancels;
+      std::vector<Handle> handles;
+      uint64_t label = 0;
+      std::function<void()> burst = [&] {
+        const size_t n = prng.NextBelow(5);
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t my = ++label;
+          SimTime at =
+              sim.now() + static_cast<SimTime>(prng.NextBelow(Milliseconds(3)));
+          handles.push_back(sim.ScheduleAt(at, [&, my] {
+            executed.push_back({my, sim.now()});
+            if (executed.size() < 600) {
+              burst();
+            }
+          }));
+        }
+        // Randomly cancel one known handle — possibly already run.
+        if (!handles.empty() && prng.NextBelow(3) == 0) {
+          const Handle victim = handles[prng.NextBelow(handles.size())];
+          cancels.push_back(sim.Cancel(victim));
+        }
+      };
+      for (int i = 0; i < 5; ++i) {
+        burst();
+      }
+      sim.Run();
+      return std::make_pair(executed, cancels);
+    };
+    Simulation sim;
+    HeapEventLoop reference;
+    ASSERT_EQ(run(sim), run(reference)) << "engines diverged, seed " << seed;
+  }
 }
 
 TEST(PeriodicTaskTest, FiresAtFixedPeriod) {
