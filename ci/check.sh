@@ -7,11 +7,12 @@
 #      full ctest suite — memory and UB bugs in the zero-copy buffer path
 #      (refcount mistakes, slices outliving buffers) fail here loudly.
 #   2. TSan build of the sharded-runtime suite — the executor, the shard
-#      inboxes, the event queue, and the width-N determinism test run under
-#      ThreadSanitizer, plus the span and health suites whose sharded cases
-#      read zone state from barrier hooks (the merged-mirror observability
-#      path). The sharded runtime's bit-identity claim rests on the
-#      executor barrier giving happens-before between epochs; TSan is
+#      inboxes, the event queue, payload buffers shared across shards (their
+#      atomic refcount has no other check), and the width-N determinism
+#      test run under ThreadSanitizer, plus the span and health suites whose
+#      sharded cases read zone state from barrier hooks (the merged-mirror
+#      observability path). The sharded runtime's bit-identity claim rests
+#      on the executor barrier giving happens-before between epochs; TSan is
 #      the check that actually exercises it (a startup race in the executor
 #      once made shards share a thread slice and fire events an epoch late —
 #      exactly the class of bug this stage exists to catch).

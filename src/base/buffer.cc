@@ -9,11 +9,6 @@ BufferCounters& buffer_counters() {
   return counters;
 }
 
-uint32_t& BufferOwnerScope::Current() {
-  static thread_local uint32_t token = 0;
-  return token;
-}
-
 void ResetBufferCounters() { buffer_counters() = BufferCounters{}; }
 
 Buffer Buffer::Copy(const void* data, size_t size) {

@@ -6,23 +6,11 @@
 // receivers costs N refcount bumps, not N payload copies — the property the
 // fan-out benchmark (bench/bench_fanout.cc) pins.
 //
-// Cross-shard ownership rule (the sharded runtime, src/sim/shard.h):
-// a shard's event loop is single-threaded, so the refcount is a plain int —
-// the common case pays nothing for the sharded runtime's existence. A
-// buffer whose slices will be handed to another shard MUST first be flagged
-// with MarkCrossShard(): the flag flips that one allocation's refcount ops
-// to std::atomic_ref (relaxed increments; acq_rel decrement, so the last
-// owner's unref synchronizes-with the delete). Marking must happen while
-// the buffer is still touched by only its producer — the flag itself is
-// published by the same barrier edge that publishes the payload.
-//
-// Debug builds guard the non-atomic path: the first shard whose event loop
-// bumps a rep's refcount becomes its recorded owner
-// (BufferOwnerScope::current()), and any later bump from a DIFFERENT shard
-// asserts — catching an unmarked buffer leaking across a shard boundary
-// before it can corrupt the count. Code running outside any shard scope
-// (setup, tests, the barrier interludes) is exempt: it is serialized with
-// every shard by construction.
+// The refcount is one std::atomic<int>, so any shard's thread may copy or
+// drop a handle with no ownership rule: increments are relaxed because a new
+// handle is always made from one already held, and the decrement is acq_rel
+// so the owner that takes the count to zero sees every other owner's reads
+// of the bytes before it deletes them.
 //
 // Conversions from `Bytes` are deliberately implicit so the whole codebase
 // can migrate call-site by call-site:
@@ -35,7 +23,6 @@
 #define SRC_BASE_BUFFER_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -44,27 +31,6 @@
 #include "src/base/bytes.h"
 
 namespace espk {
-
-// Debug-build ownership token for the non-atomic refcount assertion. The
-// sharded runtime wraps each shard's execution in a scope carrying a
-// nonzero token (shard id + 1); token 0 means "outside any shard" and is
-// compatible with everything. Thread-local, so it also works when many
-// shards share one OS thread (the inline executor).
-class BufferOwnerScope {
- public:
-  explicit BufferOwnerScope(uint32_t token) : saved_(Current()) {
-    Current() = token;
-  }
-  ~BufferOwnerScope() { Current() = saved_; }
-  BufferOwnerScope(const BufferOwnerScope&) = delete;
-  BufferOwnerScope& operator=(const BufferOwnerScope&) = delete;
-
-  static uint32_t current() { return Current(); }
-
- private:
-  static uint32_t& Current();
-  uint32_t saved_;
-};
 
 // Per-thread tallies of buffer traffic (thread-local so shard workers never
 // contend or race on them); bench_fanout diffs these around a
@@ -110,92 +76,29 @@ class Buffer {
   // Outstanding handles (buffers + slices) sharing this allocation; 0 for a
   // null buffer. Tests use this to prove slices keep payloads alive.
   int use_count() const {
-    if (rep_ == nullptr) {
-      return 0;
-    }
-    if (rep_->cross_shard) {
-      return std::atomic_ref<int>(rep_->refcount)
-          .load(std::memory_order_relaxed);
-    }
-    return rep_->refcount;
+    return rep_ != nullptr ? rep_->refcount.load(std::memory_order_relaxed)
+                           : 0;
   }
-
-  // Flips this allocation's refcount to the atomic variant. Must be called
-  // before any slice of it is handed to another shard, while the producer
-  // still has exclusive (single-shard) access. Idempotent; no-op on a null
-  // buffer.
-  void MarkCrossShard() {
-    if (rep_ != nullptr) {
-      rep_->cross_shard = true;
-    }
-  }
-  bool cross_shard() const { return rep_ != nullptr && rep_->cross_shard; }
 
  private:
   struct Rep {
     explicit Rep(Bytes&& s) : storage(std::move(s)) {}
     Bytes storage;
-    int refcount = 1;  // Plain on the single-shard path; see cross_shard.
-    // Set once by MarkCrossShard before the buffer crosses; every refcount
-    // op afterwards goes through std::atomic_ref. Reading it from consumer
-    // shards is race-free because the handoff that carried the slice also
-    // published the flag.
-    bool cross_shard = false;
-#ifndef NDEBUG
-    uint32_t owner = 0;  // First shard to bump the count; 0 = unclaimed.
-#endif
+    std::atomic<int> refcount{1};
   };
 
   explicit Buffer(Rep* rep) : rep_(rep) {}
-
-  // Debug guard on the non-atomic path: adopt the first shard that shares
-  // this rep, then insist every later share comes from the same shard.
-  static void CheckOwner(Rep* rep) {
-#ifndef NDEBUG
-    const uint32_t token = BufferOwnerScope::current();
-    if (token == 0) {
-      return;  // Outside shard scopes everything is barrier-serialized.
-    }
-    if (rep->owner == 0) {
-      rep->owner = token;
-      return;
-    }
-    assert(rep->owner == token &&
-           "non-atomic Buffer shared across shards — MarkCrossShard() the "
-           "payload before posting it");
-#else
-    (void)rep;
-#endif
-  }
 
   void Ref() {
     if (rep_ == nullptr) {
       return;
     }
     ++buffer_counters().shares;
-    if (rep_->cross_shard) {
-      std::atomic_ref<int>(rep_->refcount)
-          .fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    CheckOwner(rep_);
-    ++rep_->refcount;
+    rep_->refcount.fetch_add(1, std::memory_order_relaxed);
   }
   void Unref() {
-    if (rep_ == nullptr) {
-      return;
-    }
-    if (rep_->cross_shard) {
-      // acq_rel: the winner of the race to zero must observe every other
-      // shard's final writes before running the destructor.
-      if (std::atomic_ref<int>(rep_->refcount)
-              .fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        delete rep_;
-      }
-      return;
-    }
-    CheckOwner(rep_);
-    if (--rep_->refcount == 0) {
+    if (rep_ != nullptr &&
+        rep_->refcount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       delete rep_;
     }
   }
@@ -242,11 +145,6 @@ class BufferSlice {
 
   const Buffer& buffer() const { return buffer_; }
   int use_count() const { return buffer_.use_count(); }
-
-  // See Buffer::MarkCrossShard — call before posting this slice to another
-  // shard.
-  void MarkCrossShard() { buffer_.MarkCrossShard(); }
-  bool cross_shard() const { return buffer_.cross_shard(); }
 
   // Content equality (not identity): two slices are equal when their bytes
   // are, wherever they live. The Bytes overload keeps `parsed.payload ==

@@ -1,48 +1,8 @@
 #include "src/base/rate.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 namespace espk {
-
-TokenBucket::TokenBucket(double rate_bytes_per_sec, double burst_bytes)
-    : rate_(rate_bytes_per_sec), burst_(burst_bytes), tokens_(burst_bytes) {
-  assert(rate_bytes_per_sec > 0 && burst_bytes > 0);
-}
-
-void TokenBucket::Refill(SimTime now) {
-  if (now <= last_refill_) {
-    return;
-  }
-  double elapsed = ToSecondsF(now - last_refill_);
-  tokens_ = std::min(burst_, tokens_ + elapsed * rate_);
-  last_refill_ = now;
-}
-
-bool TokenBucket::TryConsume(SimTime now, double bytes) {
-  Refill(now);
-  if (tokens_ + 1e-9 < bytes) {
-    return false;
-  }
-  tokens_ -= bytes;
-  return true;
-}
-
-SimTime TokenBucket::NextAvailable(SimTime now, double bytes) const {
-  // Compute without mutating: project the refill forward.
-  double tokens = tokens_;
-  if (now > last_refill_) {
-    tokens = std::min(burst_, tokens + ToSecondsF(now - last_refill_) * rate_);
-  }
-  if (tokens >= bytes) {
-    return now;
-  }
-  double deficit = bytes - tokens;
-  auto wait = static_cast<SimDuration>(std::ceil(deficit / rate_ *
-                                                 static_cast<double>(kSecond)));
-  return now + wait;
-}
 
 void RateMeter::Record(SimTime now, uint64_t bytes) {
   total_bytes_ += bytes;

@@ -1,6 +1,5 @@
-// Rate accounting helpers. TokenBucket models link bandwidth in the LAN
-// simulation; RateMeter turns byte counts into bits-per-second readings for
-// the bandwidth experiments (C1, C6).
+// Rate accounting: RateMeter turns byte counts into bits-per-second readings
+// for the bandwidth experiments (C1, C6).
 #ifndef SRC_BASE_RATE_H_
 #define SRC_BASE_RATE_H_
 
@@ -9,30 +8,6 @@
 #include "src/base/time_types.h"
 
 namespace espk {
-
-// Classic token bucket: `rate_bytes_per_sec` sustained, `burst_bytes` depth.
-// Used to model a link's transmit capacity on the simulated clock.
-class TokenBucket {
- public:
-  TokenBucket(double rate_bytes_per_sec, double burst_bytes);
-
-  // True if `bytes` tokens are available at time `now` (and consumes them).
-  bool TryConsume(SimTime now, double bytes);
-
-  // Earliest time at which `bytes` tokens will be available, assuming no
-  // intervening consumption. Never earlier than `now`.
-  SimTime NextAvailable(SimTime now, double bytes) const;
-
-  double rate_bytes_per_sec() const { return rate_; }
-
- private:
-  void Refill(SimTime now);
-
-  double rate_;
-  double burst_;
-  double tokens_;
-  SimTime last_refill_ = 0;
-};
 
 // Accumulates byte counts over a window and reports average bits/second.
 class RateMeter {

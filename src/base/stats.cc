@@ -28,13 +28,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void RunningStats::Reset() { *this = RunningStats(); }
 
-std::string RunningStats::Summary() const {
-  std::ostringstream os;
-  os << "n=" << count_ << " mean=" << mean() << " sd=" << stddev()
-     << " min=" << min() << " max=" << max();
-  return os.str();
-}
-
 Histogram::Histogram(double lo, double hi, int buckets)
     : lo_(lo),
       hi_(hi),

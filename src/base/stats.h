@@ -26,9 +26,6 @@ class RunningStats {
 
   void Reset();
 
-  // "n=42 mean=1.23 sd=0.4 min=0.9 max=2.1"
-  std::string Summary() const;
-
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;

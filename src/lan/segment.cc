@@ -173,17 +173,10 @@ void EthernetSegment::FlushZoneBatches(const Datagram& datagram) {
       continue;
     }
     // One message per (packet, zone): the zone's members share one payload
-    // reference and one scheduled event instead of one each. A zone off the
-    // home shard needs the payload's refcount flipped atomic before the
-    // slice crosses; the flag is published by the same barrier edge that
-    // publishes the message.
-    Datagram copy = datagram;
-    if (static_cast<int>(shard) != home_shard_) {
-      copy.payload.MarkCrossShard();
-    }
+    // reference and one scheduled event instead of one each.
     ZoneSink* sink = zone_sinks_[shard];
     shards_->Post(home_shard_, static_cast<int>(shard), batch.min_arrival,
-                  [sink, d = std::move(copy),
+                  [sink, d = datagram,
                    entries = std::move(batch.entries)]() mutable {
                     sink->DeliverBatch(d, std::move(entries));
                   });

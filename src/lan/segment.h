@@ -36,8 +36,8 @@ struct ZoneDeliveryEntry {
 // Receiver of zone-batched deliveries (implemented by SpeakerZone in
 // src/speaker — declared here so the lan layer needs no speaker
 // dependency). DeliverBatch runs on the zone's shard at the earliest
-// arrival in `entries`; the payload slice is shared, not copied, and is
-// already MarkCrossShard()ed when the zone lives off the sender's shard.
+// arrival in `entries`; the payload slice is shared, not copied, on every
+// shard.
 class ZoneSink {
  public:
   virtual ~ZoneSink() = default;

@@ -261,28 +261,32 @@ void SpeakerAgent::BuildMib() {
        }});
   mib_.Register(
       MibOidOverride(),
-      {"central override group (set 0 to restore previous channel)",
+      {"central override group (set 0 to restore previous subscriptions)",
        [this] {
-         return std::to_string(pre_override_group_.has_value() ? 1 : 0);
+         return std::to_string(pre_override_groups_.has_value() ? 1 : 0);
        },
        [this](const std::string& v) {
          try {
            auto group = static_cast<GroupId>(std::stoul(v));
            if (group != 0) {
-             if (!pre_override_group_.has_value()) {
-               pre_override_group_ = speaker_->tuned_group().value_or(0);
+             if (!pre_override_groups_.has_value()) {
+               pre_override_groups_ = speaker_->subscriptions();
              }
              return speaker_->Tune(group);
            }
-           if (!pre_override_group_.has_value()) {
+           if (!pre_override_groups_.has_value()) {
              return OkStatus();  // Nothing to restore.
            }
-           GroupId previous = *pre_override_group_;
-           pre_override_group_.reset();
-           if (previous == 0) {
+           std::vector<GroupId> previous = std::move(*pre_override_groups_);
+           pre_override_groups_.reset();
+           if (previous.empty()) {
              return speaker_->Untune();
            }
-           return speaker_->Tune(previous);
+           ESPK_RETURN_IF_ERROR(speaker_->Tune(previous.front()));
+           for (size_t i = 1; i < previous.size(); ++i) {
+             ESPK_RETURN_IF_ERROR(speaker_->Subscribe(previous[i]));
+           }
+           return OkStatus();
          } catch (const std::exception&) {
            return InvalidArgumentError("not a group id: " + v);
          }

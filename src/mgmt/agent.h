@@ -114,7 +114,9 @@ class SpeakerAgent {
   Transport* nic_;
   EthernetSpeaker* speaker_;
   Mib mib_;
-  std::optional<GroupId> pre_override_group_;
+  // Subscriptions in order, saved by the first override and restored by
+  // the set of 0.
+  std::optional<std::vector<GroupId>> pre_override_groups_;
   std::unique_ptr<AlertTrapSender> trap_sender_;
 };
 

@@ -1,5 +1,7 @@
 #include "src/obs/federation/fleet.h"
 
+#include <cassert>
+
 #include "src/obs/federation/sample.h"
 
 namespace espk {
@@ -11,6 +13,8 @@ constexpr char kConsoleStation[] = "console";
 }  // namespace
 
 FleetPlane::FleetPlane(EthernetSpeakerSystem* system) : system_(system) {
+  assert(system_->shards()->executor().thread_count() == 1 &&
+         "FleetPlane reads zone stations mid-epoch: run it with threads = 1");
   Simulation* sim = system_->sim();
   collector_nic_ = system_->lan()->CreateNic();
   collector_ = std::make_unique<FleetCollector>(sim, collector_nic_.get(),

@@ -14,6 +14,11 @@
 //                                                               |
 //                                            query engine / exposition /
 //                                                  dashboard renderer
+//
+// One executor thread only (SystemOptions::sharded.threads = 1, asserted):
+// the scrape agents sit on home-shard NICs and read speaker registries in
+// the middle of an epoch, while on a wider executor those speakers' zones
+// run on other threads. Any zone count works on one thread.
 #ifndef SRC_OBS_FEDERATION_FLEET_H_
 #define SRC_OBS_FEDERATION_FLEET_H_
 

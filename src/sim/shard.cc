@@ -1,8 +1,6 @@
 #include "src/sim/shard.h"
 
 #include <algorithm>
-
-#include "src/base/buffer.h"
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -70,10 +68,6 @@ void ShardGroup::RunEpoch(SimTime epoch_end) {
   const int n = shard_count();
   const bool measured = !hooks_.empty();
   executor_.ParallelFor(n, [&](int s) {
-    // The owner scope arms the debug-build assertion that catches unmarked
-    // Buffers leaking across shards (src/base/buffer.h) — it works even
-    // when every shard runs on this one thread.
-    BufferOwnerScope scope(static_cast<uint32_t>(s) + 1);
     if (measured) {
       const auto t0 = std::chrono::steady_clock::now();
       sim(s)->RunUntil(epoch_end);
@@ -101,10 +95,7 @@ void ShardGroup::RunEpoch(SimTime epoch_end) {
   }
   // Barrier passed: every shard is parked at epoch_end and nobody is
   // producing. Drain and schedule the messages each shard received.
-  executor_.ParallelFor(n, [&](int dst) {
-    BufferOwnerScope scope(static_cast<uint32_t>(dst) + 1);
-    DrainInto(dst);
-  });
+  executor_.ParallelFor(n, [&](int dst) { DrainInto(dst); });
   in_epoch_ = false;
   ++epochs_run_;
   if (!hooks_.empty()) {

@@ -130,25 +130,4 @@ void PeriodicTask::Arm(SimDuration delay) {
   });
 }
 
-void WaitQueue::Wait(Simulation::Callback resume) {
-  waiters_.push_back(std::move(resume));
-}
-
-void WaitQueue::NotifyOne() {
-  if (waiters_.empty()) {
-    return;
-  }
-  auto resume = std::move(waiters_.front());
-  waiters_.erase(waiters_.begin());
-  sim_->ScheduleAfter(0, std::move(resume));
-}
-
-void WaitQueue::NotifyAll() {
-  std::vector<Simulation::Callback> all = std::move(waiters_);
-  waiters_.clear();
-  for (auto& resume : all) {
-    sim_->ScheduleAfter(0, std::move(resume));
-  }
-}
-
 }  // namespace espk

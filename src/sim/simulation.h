@@ -127,8 +127,6 @@ class PeriodicTask {
   void Stop();
   bool running() const { return running_; }
 
-  SimDuration period() const { return period_; }
-
  private:
   void Arm(SimDuration delay);
 
@@ -137,28 +135,6 @@ class PeriodicTask {
   TickCallback cb_;
   bool running_ = false;
   Simulation::EventHandle pending_;
-};
-
-// A list of parked continuations — the simulation-world analogue of a kernel
-// sleep queue / condition variable. The kernel uses these for blocking
-// audio writes (tsleep/wakeup in OpenBSD terms).
-class WaitQueue {
- public:
-  explicit WaitQueue(Simulation* sim) : sim_(sim) {}
-
-  // Parks `resume` until a Notify; resumptions run as fresh events at the
-  // notification time (never synchronously inside Notify).
-  void Wait(Simulation::Callback resume);
-
-  // Wakes the oldest waiter / all waiters.
-  void NotifyOne();
-  void NotifyAll();
-
-  size_t waiter_count() const { return waiters_.size(); }
-
- private:
-  Simulation* sim_;
-  std::vector<Simulation::Callback> waiters_;
 };
 
 }  // namespace espk

@@ -475,24 +475,7 @@ TEST(LoggingTest, CaptureLowersThresholdByDefault) {
   EXPECT_EQ(GetLogThreshold(), before);
 }
 
-// ------------------------------------------------------------ TokenBucket --
-
-TEST(TokenBucketTest, AllowsBurstThenThrottles) {
-  TokenBucket tb(1000.0, 500.0);  // 1000 B/s, 500 B burst.
-  EXPECT_TRUE(tb.TryConsume(0, 500.0));
-  EXPECT_FALSE(tb.TryConsume(0, 1.0));
-  // After 100 ms, 100 bytes refilled.
-  EXPECT_TRUE(tb.TryConsume(Milliseconds(100), 100.0));
-  EXPECT_FALSE(tb.TryConsume(Milliseconds(100), 10.0));
-}
-
-TEST(TokenBucketTest, NextAvailablePredictsRefill) {
-  TokenBucket tb(1000.0, 500.0);
-  ASSERT_TRUE(tb.TryConsume(0, 500.0));
-  SimTime t = tb.NextAvailable(0, 250.0);
-  EXPECT_NEAR(ToSecondsF(t), 0.25, 0.001);
-  EXPECT_TRUE(tb.TryConsume(t, 250.0));
-}
+// -------------------------------------------------------------- RateMeter --
 
 TEST(RateMeterTest, ComputesAverageBps) {
   RateMeter m;

@@ -273,6 +273,37 @@ TEST_F(MgmtFixture, OverrideAndRestore) {
   EXPECT_EQ(speaker_->tuned_group().value_or(0), original);
 }
 
+// A speaker on two streams comes back from an override on both, in the
+// order it subscribed to them.
+TEST_F(MgmtFixture, OverrideRestoresEverySubscription) {
+  Channel* voice = *system_.CreateChannel("voice");
+  Channel* announcements = *system_.CreateChannel("crew");
+  PlayerAppOptions opts;
+  opts.config = AudioConfig::PhoneQuality();
+  opts.chunk_frames = 800;
+  ASSERT_TRUE(system_
+                  .StartPlayer(voice,
+                               std::make_unique<SpeechLikeGenerator>(4), opts)
+                  .ok());
+  ASSERT_TRUE(system_
+                  .StartPlayer(announcements,
+                               std::make_unique<SpeechLikeGenerator>(3), opts)
+                  .ok());
+  ASSERT_TRUE(speaker_->Subscribe(voice->group).ok());
+  system_.RunUntil(Seconds(1));
+  const std::vector<GroupId> both = {channel_->group, voice->group};
+  ASSERT_EQ(speaker_->subscriptions(), both);
+
+  console_->OverrideAll(announcements->group);
+  system_.RunFor(Seconds(1));
+  EXPECT_EQ(speaker_->subscriptions(),
+            std::vector<GroupId>{announcements->group});
+
+  console_->RestoreAll();
+  system_.RunFor(Seconds(1));
+  EXPECT_EQ(speaker_->subscriptions(), both);
+}
+
 TEST_F(MgmtFixture, WalkTheWholeMib) {
   system_.RunUntil(Seconds(1));
   std::vector<Oid> walked;

@@ -2,18 +2,22 @@
 // The properties pinned here are the sharded runtime's whole contract:
 // cross-shard posts land at the right time in a total deterministic order,
 // results are identical for any executor width, heavy traffic on one link
-// or on every link at once loses and reorders nothing, and the epoch
-// planner skips idle stretches instead of grinding through them.
+// or on every link at once loses and reorders nothing, the epoch planner
+// skips idle stretches instead of grinding through them, and payload slices
+// cross shards with no ownership step.
 #include "src/sim/shard.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/buffer.h"
+#include "src/base/bytes.h"
 #include "src/base/time_types.h"
 
 namespace espk {
@@ -343,5 +347,69 @@ TEST(ShardGroupTest, PerZoneCountersSumToGroupTotals) {
   EXPECT_EQ(hook.drained_seen(), posted);
 }
 
+// Every epoch shard 0 builds one Buffer and posts a slice of it, as is, to
+// shards 1-3. Each receiver copies the slice several times, reads every
+// byte of every copy and drops them; at width 4 the three receivers hold the
+// slice on their own threads in the same epoch, which the TSan CI stage
+// checks. The payload is large so that those stretches overlap: a worker
+// that takes its shard only after another has finished is ordered after it
+// by the executor's mutex, and TSan would see no concurrency at all.
+// Afterwards only the holder's reference is left.
+TEST(ShardGroupTest, PayloadSlicesCrossShardsWithoutMarking) {
+  static constexpr int kShards = 4;
+  static constexpr int kEpochs = 64;
+  static constexpr int kCopies = 8;
+  static constexpr size_t kPayload = 16 * 1024;
+  static constexpr size_t kOffset = 16;
+  static constexpr SimDuration kLookahead = Microseconds(50);
+  for (int threads : {1, 4}) {
+    ShardGroup::Options options;
+    options.shards = kShards;
+    options.threads = threads;
+    options.lookahead = kLookahead;
+    ShardGroup group(options);
+    std::vector<Buffer> held;  // Shard 0's references, one per epoch.
+    // Entry d is written only by shard d.
+    std::vector<int> received(kShards, 0);
+    std::vector<int> bad_bytes(kShards, 0);
+    for (int e = 0; e < kEpochs; ++e) {
+      group.sim(0)->ScheduleAt(e * kLookahead, [&, e] {
+        Bytes bytes(kPayload);
+        for (size_t i = 0; i < bytes.size(); ++i) {
+          bytes[i] = static_cast<uint8_t>(static_cast<size_t>(e) + i);
+        }
+        held.push_back(Buffer::FromBytes(std::move(bytes)));
+        const BufferSlice slice(held.back(), kOffset, kPayload - 2 * kOffset);
+        for (int dst = 1; dst < kShards; ++dst) {
+          group.Post(0, dst, group.sim(0)->now() + kLookahead,
+                     [slice, dst, e, &received, &bad_bytes] {
+                       const std::vector<BufferSlice> copies(kCopies, slice);
+                       for (const BufferSlice& copy : copies) {
+                         for (size_t i = 0; i < copy.size(); ++i) {
+                           if (copy[i] != static_cast<uint8_t>(
+                                              static_cast<size_t>(e) +
+                                              kOffset + i)) {
+                             ++bad_bytes[static_cast<size_t>(dst)];
+                           }
+                         }
+                       }
+                       ++received[static_cast<size_t>(dst)];
+                     });
+        }
+      });
+    }
+    group.RunUntil(kEpochs * kLookahead + Milliseconds(1));
+    for (int dst = 1; dst < kShards; ++dst) {
+      EXPECT_EQ(received[static_cast<size_t>(dst)], kEpochs)
+          << "threads=" << threads << " shard " << dst;
+      EXPECT_EQ(bad_bytes[static_cast<size_t>(dst)], 0)
+          << "threads=" << threads << " shard " << dst;
+    }
+    ASSERT_EQ(held.size(), static_cast<size_t>(kEpochs));
+    for (const Buffer& buffer : held) {
+      EXPECT_EQ(buffer.use_count(), 1) << "threads=" << threads;
+    }
+  }
+}
 }  // namespace
 }  // namespace espk

@@ -386,61 +386,5 @@ TEST(PeriodicTaskTest, DestructorCancelsPendingFire) {
   EXPECT_EQ(count, 1);
 }
 
-TEST(WaitQueueTest, NotifyOneWakesOldestFirst) {
-  Simulation sim;
-  WaitQueue wq(&sim);
-  std::vector<int> woken;
-  wq.Wait([&] { woken.push_back(1); });
-  wq.Wait([&] { woken.push_back(2); });
-  EXPECT_EQ(wq.waiter_count(), 2u);
-  wq.NotifyOne();
-  sim.Run();
-  EXPECT_EQ(woken, std::vector<int>({1}));
-  wq.NotifyOne();
-  sim.Run();
-  EXPECT_EQ(woken, std::vector<int>({1, 2}));
-}
-
-TEST(WaitQueueTest, NotifyAllWakesEveryone) {
-  Simulation sim;
-  WaitQueue wq(&sim);
-  int woken = 0;
-  for (int i = 0; i < 5; ++i) {
-    wq.Wait([&] { ++woken; });
-  }
-  wq.NotifyAll();
-  sim.Run();
-  EXPECT_EQ(woken, 5);
-  EXPECT_EQ(wq.waiter_count(), 0u);
-}
-
-TEST(WaitQueueTest, NotifyWithNoWaitersIsNoOp) {
-  Simulation sim;
-  WaitQueue wq(&sim);
-  wq.NotifyOne();
-  wq.NotifyAll();
-  sim.Run();
-  EXPECT_EQ(sim.events_processed(), 0u);
-}
-
-TEST(WaitQueueTest, ResumptionsRunAsynchronously) {
-  // A Notify inside an event must not run the waiter synchronously (it runs
-  // as a fresh event), mirroring kernel wakeup semantics.
-  Simulation sim;
-  WaitQueue wq(&sim);
-  bool waiter_ran = false;
-  bool flag_after_notify = false;
-  wq.Wait([&] {
-    waiter_ran = true;
-    EXPECT_TRUE(flag_after_notify);
-  });
-  sim.ScheduleAt(Seconds(1), [&] {
-    wq.NotifyAll();
-    flag_after_notify = true;  // Runs before the waiter resumes.
-  });
-  sim.Run();
-  EXPECT_TRUE(waiter_ran);
-}
-
 }  // namespace
 }  // namespace espk
