@@ -6,13 +6,22 @@
 // for both. Either way each zone posts ONE message per packet, parses once,
 // and runs one grouped decode/play event per distinct instant.
 //
+// Beside the wall clock, each run counts its work over a fixed stretch of
+// simulated time: payload Buffer shares (espk::buffer_counters()) and heap
+// allocations (the operator new hook, bench/alloc_hook.cc) per delivery.
+// Those counts do not move with CPU placement or machine load.
+//
 // The emitted BENCH_fleet.json is validated by bench_gate against
 // bench/baselines/BENCH_fleet_baseline.json: the 1-zone and 4-zone runs
 // must deliver IDENTICAL packet counts (the determinism contract, gated
-// structurally), and the 4-zone ns/delivery at the 10k tier gets the
-// shared-machine noise margin. `--quick` (used by the espk_bench_smoke
-// ctest) shortens the simulated windows; the 10k-speaker tier runs even in
-// quick mode so the smoke test proves the big configuration completes.
+// structurally), the 4-zone shares and allocations per delivery at the 10k
+// tier must not exceed the baseline's (exact: they are identical run to
+// run), and the 4-zone ns/delivery at the 10k tier gets the shared-machine
+// noise margin. `--quick` (used by the espk_bench_smoke ctest) shortens the
+// simulated windows but not the counted stretch; the 10k-speaker tier runs
+// even in quick mode so the smoke test proves the big configuration
+// completes.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -20,7 +29,9 @@
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.h"
 #include "bench/bench_util.h"
+#include "src/base/buffer.h"
 #include "src/core/system.h"
 
 namespace espk {
@@ -33,6 +44,13 @@ constexpr int kSpeakersMid = 1000;
 constexpr int kSpeakersLarge = 10000;
 constexpr int kMultiChannels = 4;
 constexpr int kSpeakersMulti = 400;  // 100 per channel, round-robin zones.
+// The work counters' stretch of simulated time, inside every run of both
+// modes. It starts past start-up (first control packet, container growth)
+// and sits between two growth steps of every speaker's recorder segment
+// vector (its 33rd and 65th plays, near 332 and 460 ms), so it counts the
+// per-packet work of the pipeline and no one-off growth.
+constexpr int kCountFromMs = 350;
+constexpr int kCountToMs = 450;
 
 struct FleetMeasurement {
   int speakers = 0;
@@ -43,13 +61,55 @@ struct FleetMeasurement {
   double wall_ms = 0.0;
   double packets_per_sec = 0.0;   // Deliveries processed per wall second.
   double ns_per_delivery = 0.0;   // Wall ns per packet per speaker.
+  // Over [kCountFromMs, kCountToMs): payload Buffer shares and heap
+  // allocations per delivery.
+  double shares_per_delivery = 0.0;
+  double allocs_per_delivery = 0.0;
 };
+
+// Runs `system` to `sim_ms`, counting its work over the counted stretch
+// (one executor thread, so the thread-local buffer counters see it all),
+// and fills the measurement from the run.
+void RunAndMeasure(EthernetSpeakerSystem* system, int sim_ms,
+                   FleetMeasurement* m) {
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
+  system->RunUntil(Milliseconds(std::min(sim_ms, kCountFromMs)));
+  const uint64_t deliveries_before = system->lan()->stats().deliveries;
+  const uint64_t allocs_before = bench::AllocCount();
+  ResetBufferCounters();
+  system->RunUntil(Milliseconds(std::min(sim_ms, kCountToMs)));
+  const uint64_t allocs = bench::AllocCount() - allocs_before;
+  const uint64_t shares = buffer_counters().shares;
+  const uint64_t counted =
+      system->lan()->stats().deliveries - deliveries_before;
+  system->RunUntil(Milliseconds(sim_ms));
+  const auto t1 = Clock::now();
+
+  m->deliveries = system->lan()->stats().deliveries;
+  m->messages_posted = system->shards()->messages_posted();
+  for (const auto& speaker : system->speakers()) {
+    m->chunks_played += speaker->stats().chunks_played;
+  }
+  const double wall_ns =
+      std::chrono::duration<double, std::nano>(t1 - t0).count();
+  m->wall_ms = wall_ns / 1e6;
+  if (m->deliveries > 0) {
+    m->ns_per_delivery = wall_ns / static_cast<double>(m->deliveries);
+    m->packets_per_sec = static_cast<double>(m->deliveries) / (wall_ns / 1e9);
+  }
+  if (counted > 0) {
+    m->shares_per_delivery =
+        static_cast<double>(shares) / static_cast<double>(counted);
+    m->allocs_per_delivery =
+        static_cast<double>(allocs) / static_cast<double>(counted);
+  }
+}
 
 // One channel, `speakers` tuned speakers, 4 ms phone-quality packets (the
 // per-packet decode work is deliberately small so the run measures the
 // runtime's per-delivery machinery).
 FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
-  using Clock = std::chrono::steady_clock;
   SystemOptions options;
   options.sharded.zones = zones;
   options.sharded.threads = 1;  // One core: serial cost, not parallelism.
@@ -76,25 +136,10 @@ FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
     std::exit(1);
   }
 
-  const auto t0 = Clock::now();
-  system.RunUntil(Milliseconds(sim_ms));
-  const auto t1 = Clock::now();
-
   FleetMeasurement m;
   m.speakers = speakers;
   m.zones = zones;
-  m.deliveries = system.lan()->stats().deliveries;
-  m.messages_posted = system.shards()->messages_posted();
-  for (const auto& speaker : system.speakers()) {
-    m.chunks_played += speaker->stats().chunks_played;
-  }
-  const double wall_ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  m.wall_ms = wall_ns / 1e6;
-  if (m.deliveries > 0) {
-    m.ns_per_delivery = wall_ns / static_cast<double>(m.deliveries);
-    m.packets_per_sec = static_cast<double>(m.deliveries) / (wall_ns / 1e9);
-  }
+  RunAndMeasure(&system, sim_ms, &m);
   return m;
 }
 
@@ -105,7 +150,6 @@ FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
 // still agree exactly.
 FleetMeasurement MeasureMultiChannelFleet(int channels, int speakers,
                                           int zones, int sim_ms) {
-  using Clock = std::chrono::steady_clock;
   SystemOptions options;
   options.sharded.zones = zones;
   options.sharded.threads = 1;
@@ -141,25 +185,10 @@ FleetMeasurement MeasureMultiChannelFleet(int channels, int speakers,
     }
   }
 
-  const auto t0 = Clock::now();
-  system.RunUntil(Milliseconds(sim_ms));
-  const auto t1 = Clock::now();
-
   FleetMeasurement m;
   m.speakers = speakers;
   m.zones = zones;
-  m.deliveries = system.lan()->stats().deliveries;
-  m.messages_posted = system.shards()->messages_posted();
-  for (const auto& speaker : system.speakers()) {
-    m.chunks_played += speaker->stats().chunks_played;
-  }
-  const double wall_ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  m.wall_ms = wall_ns / 1e6;
-  if (m.deliveries > 0) {
-    m.ns_per_delivery = wall_ns / static_cast<double>(m.deliveries);
-    m.packets_per_sec = static_cast<double>(m.deliveries) / (wall_ns / 1e9);
-  }
+  RunAndMeasure(&system, sim_ms, &m);
   return m;
 }
 
@@ -186,13 +215,14 @@ int RunFleetBench(bool quick) {
   };
   FleetMeasurement one_zone[3];
   FleetMeasurement sharded[3];
-  Table table(
-      {"speakers", "mode", "deliveries", "wall ms", "us/delivery", "pkts/sec"});
+  Table table({"speakers", "mode", "deliveries", "wall ms", "us/delivery",
+               "pkts/sec", "shares/dlv", "allocs/dlv"});
   auto row = [&table](const std::string& fleet, const FleetMeasurement& m) {
     table.Row({fleet, std::to_string(m.zones) + (m.zones == 1 ? " zone" : " zones"),
                std::to_string(m.deliveries), Fmt(m.wall_ms, 1),
                Fmt(m.ns_per_delivery / 1000.0),
-               Fmt(m.packets_per_sec / 1e6) + "M"});
+               Fmt(m.packets_per_sec / 1e6) + "M",
+               Fmt(m.shares_per_delivery, 4), Fmt(m.allocs_per_delivery, 4)});
   };
   for (int t = 0; t < 3; ++t) {
     one_zone[t] = MeasureFleet(tiers[t].speakers, 1, tiers[t].sim_ms);
@@ -280,6 +310,10 @@ int RunFleetBench(bool quick) {
   json.Num("sharded_pps_large", sharded[2].packets_per_sec);
   json.Num("one_zone_ns_per_delivery_large", one_zone[2].ns_per_delivery);
   json.Num("sharded_ns_per_delivery_large", sharded[2].ns_per_delivery);
+  json.Num("sharded_shares_per_delivery_large",
+           sharded[2].shares_per_delivery);
+  json.Num("sharded_allocs_per_delivery_large",
+           sharded[2].allocs_per_delivery);
   json.Int("multichannel_channels", kMultiChannels);
   json.Int("multichannel_speakers", kSpeakersMulti);
   json.Int("multichannel_deliveries", multi_one_zone.deliveries);

@@ -47,7 +47,10 @@
 //   2. the 1-zone and 4-zone runs delivered IDENTICAL packet counts at
 //      every tier, and the 4-zone runs actually posted cross-shard
 //      messages — the determinism contract, gated structurally (hard);
-//   3. 4-zone ns/delivery at the 10k tier stays within (1 + max_regress)
+//   3. payload Buffer shares and heap allocations per delivery of the
+//      4-zone run at the 10k tier have not grown past the baseline — work
+//      counts, identical run to run, so no noise margin (hard);
+//   4. 4-zone ns/delivery at the 10k tier stays within (1 + max_regress)
 //      of baseline — the absolute-cost regression gate.
 //
 // Exit 0 on pass; 1 with one "FAIL:" line per violation otherwise.
@@ -163,6 +166,8 @@ const char* const kFleetNumericFields[] = {
     "sharded_pps_large",
     "one_zone_ns_per_delivery_large",
     "sharded_ns_per_delivery_large",
+    "sharded_shares_per_delivery_large",
+    "sharded_allocs_per_delivery_large",
     "multichannel_channels",
     "multichannel_speakers",
     "multichannel_deliveries",
@@ -431,6 +436,19 @@ void CheckFleet(Gate* gate, const JsonObject& current,
            std::to_string(multi_sharded) +
            "; the multi-channel runs diverged");
   }
+  // Work per delivery is a count over a fixed stretch of a deterministic
+  // run: any growth is a change in the code, not noise.
+  for (const char* key : {"sharded_shares_per_delivery_large",
+                          "sharded_allocs_per_delivery_large"}) {
+    const double cur = g.Number(current, current_path, key);
+    const double base = g.Number(baseline, baseline_path, key);
+    if (cur > base) {
+      char msg[256];
+      std::snprintf(msg, sizeof(msg), "%s grew: %.6g > baseline %.6g", key,
+                    cur, base);
+      g.Fail(msg);
+    }
+  }
   // Absolute cost of the 4-zone run at the big tier gets the shared-
   // machine noise margin against the checked-in baseline.
   const double cur_ns =
@@ -450,9 +468,12 @@ void CheckFleet(Gate* gate, const JsonObject& current,
   if (g.failures == 0) {
     std::printf(
         "PASS: 1-zone and 4-zone deliveries identical, %.1f ns/delivery at "
-        "%g speakers (baseline %.1f, limit %.1f)\n",
+        "%g speakers (baseline %.1f, limit %.1f), shares/delivery %.6g, "
+        "allocs/delivery %.6g\n",
         cur_ns, g.Number(current, current_path, "speakers_large"), base_ns,
-        limit);
+        limit,
+        g.Number(current, current_path, "sharded_shares_per_delivery_large"),
+        g.Number(current, current_path, "sharded_allocs_per_delivery_large"));
   }
 }
 

@@ -21,6 +21,9 @@ std::unique_ptr<SimNic> EthernetSegment::CreateNic() {
 
 void EthernetSegment::Detach(SimNic* nic) {
   nics_.erase(std::remove(nics_.begin(), nics_.end(), nic), nics_.end());
+  for (GroupId group : nic->groups_) {
+    Vacate(&members_[group], nic->node_);
+  }
 }
 
 void EthernetSegment::EnableSharding(ShardGroup* shards, int home_shard) {
@@ -44,16 +47,58 @@ void EthernetSegment::AssignZone(SimNic* nic, int shard, int member) {
          "RegisterZoneSink first");
   nic->zone_shard_ = shard;
   nic->zone_member_ = member;
+  for (GroupId group : nic->groups_) {
+    Receiver& entry = *Position(&members_[group], nic->node_);
+    entry.zone_shard = shard;
+    entry.zone_member = member;
+  }
+}
+
+std::vector<EthernetSegment::Receiver>::iterator EthernetSegment::Position(
+    MemberList* list, NodeId node) {
+  return std::lower_bound(
+      list->entries.begin(), list->entries.end(), node,
+      [](const Receiver& entry, NodeId id) { return entry.node < id; });
+}
+
+void EthernetSegment::Vacate(MemberList* list, NodeId node) {
+  Position(list, node)->nic = nullptr;
+  if (++list->vacant * 2 > list->entries.size()) {
+    std::erase_if(list->entries,
+                  [](const Receiver& entry) { return entry.nic == nullptr; });
+    list->vacant = 0;
+  }
+}
+
+void EthernetSegment::ApplyMembership(SimNic* nic, GroupId group, bool join) {
+  MemberList& list = members_[group];
+  if (!join) {
+    if (nic->groups_.erase(group) > 0) {
+      Vacate(&list, nic->node_);
+    }
+    return;
+  }
+  if (!nic->groups_.insert(group).second) {
+    return;
+  }
+  const Receiver entry{nic->node_, nic->zone_shard_, nic->zone_member_, nic};
+  if (list.entries.empty() || list.entries.back().node < nic->node_) {
+    list.entries.push_back(entry);  // Joins in creation order append.
+    return;
+  }
+  auto it = Position(&list, nic->node_);
+  if (it != list.entries.end() && it->node == nic->node_) {
+    *it = entry;  // Re-joined before its vacant entry was dropped.
+    --list.vacant;
+  } else {
+    list.entries.insert(it, entry);
+  }
 }
 
 void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
                                         bool join) {
   auto apply = [nic, group, join] {
-    if (join) {
-      nic->groups_.insert(group);
-    } else {
-      nic->groups_.erase(group);
-    }
+    nic->segment_->ApplyMembership(nic, group, join);
   };
   const bool off_home = shards_ != nullptr && nic->zone_shard_ >= 0 &&
                         nic->zone_shard_ != home_shard_;
@@ -76,13 +121,10 @@ void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
 }
 
 size_t EthernetSegment::GroupMemberCount(GroupId group) const {
-  size_t count = 0;
-  for (const SimNic* nic : nics_) {
-    if (nic->IsJoined(group)) {
-      ++count;
-    }
-  }
-  return count;
+  const auto it = members_.find(group);
+  return it == members_.end()
+             ? 0
+             : it->second.entries.size() - it->second.vacant;
 }
 
 void EthernetSegment::Transmit(const Datagram& datagram) {
@@ -122,48 +164,60 @@ void EthernetSegment::Transmit(const Datagram& datagram) {
   wire_meter_.Record(now, wire_bytes);
 
   const SimTime wire_done = medium_free_at_;
-  for (SimNic* nic : nics_) {
-    if (nic->node_id() == datagram.source) {
-      continue;  // No local loopback; the sender knows what it sent.
-    }
-    bool wants = false;
-    if (datagram.group != 0) {
-      wants = nic->IsJoined(datagram.group);
-    } else {
-      wants = datagram.destination == nic->node_id() ||
-              datagram.destination == kBroadcastNode;
-    }
-    if (!wants) {
-      continue;
-    }
-    ++stats_.deliveries;
-    if (config_.loss_probability > 0.0 &&
-        prng_.NextBool(config_.loss_probability)) {
-      ++stats_.deliveries_lost;
-      if (tracer_ != nullptr && datagram.trace.valid) {
-        tracer_->Record(datagram.trace.stream_id, datagram.trace.seq,
-                        TraceStage::kLinkLoss, nic->node_id());
+  // No local loopback on either path: the sender knows what it sent.
+  if (datagram.group != 0) {
+    // Multicast walks the group's member list. It holds the joined NICs in
+    // creation order, as a scan of every NIC would meet them, so loss and
+    // jitter draw the same PRNG values for the same receivers.
+    const auto it = members_.find(datagram.group);
+    if (it != members_.end()) {
+      for (const Receiver& member : it->second.entries) {
+        if (member.nic != nullptr && member.node != datagram.source) {
+          Fanout(datagram, wire_done, member);
+        }
       }
-      continue;
     }
-    SimTime arrival = wire_done + config_.base_delay;
-    if (config_.jitter > 0) {
-      arrival += static_cast<SimDuration>(
-          prng_.NextBelow(static_cast<uint64_t>(config_.jitter)));
-    }
-    if (shards_ != nullptr && nic->zone_shard_ >= 0) {
-      ZoneBatch& batch = zone_batches_[static_cast<size_t>(nic->zone_shard_)];
-      if (batch.entries.empty() || arrival < batch.min_arrival) {
-        batch.min_arrival = arrival;
+  } else {
+    for (SimNic* nic : nics_) {
+      if (nic->node_ != datagram.source &&
+          (datagram.destination == nic->node_ ||
+           datagram.destination == kBroadcastNode)) {
+        Fanout(datagram, wire_done,
+               Receiver{nic->node_, nic->zone_shard_, nic->zone_member_, nic});
       }
-      batch.entries.push_back(ZoneDeliveryEntry{nic->zone_member_, arrival});
-      continue;
     }
-    DeliverTo(nic, datagram, arrival);
   }
   if (shards_ != nullptr) {
     FlushZoneBatches(datagram);
   }
+}
+
+void EthernetSegment::Fanout(const Datagram& datagram, SimTime wire_done,
+                             const Receiver& to) {
+  ++stats_.deliveries;
+  if (config_.loss_probability > 0.0 &&
+      prng_.NextBool(config_.loss_probability)) {
+    ++stats_.deliveries_lost;
+    if (tracer_ != nullptr && datagram.trace.valid) {
+      tracer_->Record(datagram.trace.stream_id, datagram.trace.seq,
+                      TraceStage::kLinkLoss, to.node);
+    }
+    return;
+  }
+  SimTime arrival = wire_done + config_.base_delay;
+  if (config_.jitter > 0) {
+    arrival += static_cast<SimDuration>(
+        prng_.NextBelow(static_cast<uint64_t>(config_.jitter)));
+  }
+  if (shards_ != nullptr && to.zone_shard >= 0) {
+    ZoneBatch& batch = zone_batches_[static_cast<size_t>(to.zone_shard)];
+    if (batch.entries.empty() || arrival < batch.min_arrival) {
+      batch.min_arrival = arrival;
+    }
+    batch.entries.push_back(ZoneDeliveryEntry{to.zone_member, arrival});
+    return;
+  }
+  DeliverTo(to.nic, datagram, arrival);
 }
 
 void EthernetSegment::FlushZoneBatches(const Datagram& datagram) {
@@ -175,12 +229,15 @@ void EthernetSegment::FlushZoneBatches(const Datagram& datagram) {
     // One message per (packet, zone): the zone's members share one payload
     // reference and one scheduled event instead of one each.
     ZoneSink* sink = zone_sinks_[shard];
+    const size_t size = batch.entries.size();
     shards_->Post(home_shard_, static_cast<int>(shard), batch.min_arrival,
                   [sink, d = datagram,
                    entries = std::move(batch.entries)]() mutable {
                     sink->DeliverBatch(d, std::move(entries));
                   });
+    // The next packet to this zone most likely reaches as many members.
     batch.entries = std::vector<ZoneDeliveryEntry>();
+    batch.entries.reserve(size);
   }
 }
 

@@ -9,9 +9,9 @@
 #ifndef SRC_LAN_SEGMENT_H_
 #define SRC_LAN_SEGMENT_H_
 
-#include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/prng.h"
@@ -122,10 +122,13 @@ class EthernetSegment {
   // per-member entry list — instead of one event per receiver. Every other
   // NIC (producers, consoles, recorders, boot clients, and speakers built on
   // a bare segment) gets its own delivery event, handed to its receive
-  // handler. Loss and jitter are drawn per receiver in NIC creation order on
-  // the home shard either way, so the PRNG stream does not depend on the
-  // zone count. Requires shards->lookahead() <= base_delay (asserted): that
-  // is what makes every arrival land at or after the epoch barrier.
+  // handler. A multicast finds its receivers on the group's member list,
+  // which holds the joined NICs in creation order with each one's zone
+  // identity inline; unicast and broadcast scan every NIC. Loss and jitter
+  // are drawn per receiver in NIC creation order on the home shard either
+  // way, so the PRNG stream does not depend on the zone count. Requires
+  // shards->lookahead() <= base_delay (asserted): that is what makes every
+  // arrival land at or after the epoch barrier.
   void EnableSharding(ShardGroup* shards, int home_shard);
   // Installs the sink that receives zone batches for `shard`.
   void RegisterZoneSink(int shard, ZoneSink* sink);
@@ -140,12 +143,42 @@ class EthernetSegment {
  private:
   friend class SimNic;
 
+  // One receiver as fan-out sees it: the NIC with its node id and zone
+  // identity inline, so walking a group's members reads no NIC object.
+  struct Receiver {
+    NodeId node = 0;
+    int zone_shard = -1;  // -1: not in a zone; delivered via DeliverTo.
+    int zone_member = -1;
+    SimNic* nic = nullptr;  // Null: a vacant entry (see MemberList).
+  };
+  // A group's effective members in NIC creation order, which is node id
+  // order (ids are assigned sequentially). A leave or a destroyed NIC
+  // vacates its entry rather than shifting the list; a re-join fills the
+  // entry again, and the vacant entries are dropped together once they
+  // make up half the list, so neither churn nor tearing a fleet down is
+  // quadratic. Joins in creation order append.
+  struct MemberList {
+    std::vector<Receiver> entries;
+    size_t vacant = 0;
+  };
+
   // Applies a join/leave on the NIC's effective membership set, honoring
   // the join-latency knob and — for zone NICs off the home shard during an
   // epoch — marshalling the mutation to the home shard (where Transmit
   // reads membership) via the barrier, deferred by at least the lookahead.
   void RequestMembership(SimNic* nic, GroupId group, bool join);
+  // The mutation itself, on the home shard: the NIC's set and the group's
+  // member list change together.
+  void ApplyMembership(SimNic* nic, GroupId group, bool join);
+  // Where `node`'s entry is in `list`, or belongs (the first entry whose
+  // node is not below it).
+  static std::vector<Receiver>::iterator Position(MemberList* list,
+                                                  NodeId node);
+  static void Vacate(MemberList* list, NodeId node);
   void Transmit(const Datagram& datagram);
+  // Loss, jitter and hand-off for one receiver of a sent packet.
+  void Fanout(const Datagram& datagram, SimTime wire_done,
+              const Receiver& to);
   void DeliverTo(SimNic* nic, const Datagram& datagram, SimTime arrival);
   void FlushZoneBatches(const Datagram& datagram);
   void Detach(SimNic* nic);
@@ -165,6 +198,9 @@ class EthernetSegment {
   NodeId next_node_ = 1;
   SimTime medium_free_at_ = 0;  // CSMA-free abstraction: FIFO serialization.
   std::vector<SimNic*> nics_;
+  // Multicast fan-out's view of membership, mutated with each NIC's
+  // effective set (on the home shard) and read by Transmit.
+  std::unordered_map<GroupId, MemberList> members_;
   ShardGroup* shards_ = nullptr;  // Null: no zones; every NIC via DeliverTo.
   int home_shard_ = 0;
   std::vector<ZoneSink*> zone_sinks_;  // Indexed by shard.
@@ -211,10 +247,11 @@ class SimNic : public Transport {
 
   EthernetSegment* segment_;
   NodeId node_;
-  // Effective membership, mutated only on the segment's home shard (where
-  // Transmit reads it). `desired_groups_` is the caller-side view, updated
-  // synchronously at request time for join/leave validation; the two sets
-  // coincide whenever join_latency is 0 on an unsharded run.
+  // Effective membership, mutated only on the segment's home shard, together
+  // with the segment's member lists that Transmit reads. `desired_groups_`
+  // is the caller-side view, updated synchronously at request time for
+  // join/leave validation; the two sets coincide whenever join_latency is 0
+  // on an unsharded run.
   std::set<GroupId> groups_;
   std::set<GroupId> desired_groups_;
   ReceiveHandler handler_;

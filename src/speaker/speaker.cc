@@ -1,7 +1,6 @@
 #include "src/speaker/speaker.h"
 
 #include <algorithm>
-#include <iterator>
 #include <type_traits>
 #include <utility>
 
@@ -11,57 +10,66 @@
 
 namespace espk {
 
-namespace {
+uint32_t PlayGroup::AddBlock(const PcmBlock& block) {
+  if (pcm == nullptr) {
+    pcm = block;
+    return 0;
+  }
+  if ((more_pcm.empty() ? pcm : more_pcm.back()) != block) {
+    more_pcm.push_back(block);
+  }
+  return static_cast<uint32_t>(more_pcm.size());
+}
 
-SimTime InstantOf(const DecodeJob& job) { return job.pending.decode_done; }
-SimTime InstantOf(const PlayJob& job) { return job.play.at; }
-
-}  // namespace
-
-template <typename Job>
-std::vector<Job> PipelineScheduler::Slots<Job>::Take(uint32_t slot) {
+template <typename Group>
+Group PipelineScheduler::Slots<Group>::Take(uint32_t slot) {
   free.push_back(slot);
   return std::move(groups[slot]);
 }
 
-void PipelineScheduler::ScheduleDecodes(std::vector<DecodeJob> jobs) {
-  Schedule(std::move(jobs), &decodes_);
+void PipelineScheduler::ScheduleDecodes(DecodeGroup group) {
+  Schedule(std::move(group), &decodes_);
 }
 
-template <typename Job>
-void PipelineScheduler::Schedule(std::vector<Job> jobs, Slots<Job>* slots) {
-  // Jitter or divergent decode backlogs spread a batch over several
-  // instants; the common case (one instant for the whole batch) is already
-  // sorted.
-  auto earlier = [](const Job& a, const Job& b) {
-    return InstantOf(a) < InstantOf(b);
+template <typename Group>
+void PipelineScheduler::Schedule(Group group, Slots<Group>* slots) {
+  // Jitter or divergent decode backlogs spread a group over several
+  // instants; the common case (one instant for the whole group) is already
+  // sorted and parks as it is.
+  std::vector<PipelineJob>& jobs = group.jobs;
+  if (jobs.empty()) {
+    return;
+  }
+  auto earlier = [](const PipelineJob& a, const PipelineJob& b) {
+    return a.at < b.at;
   };
   if (!std::is_sorted(jobs.begin(), jobs.end(), earlier)) {
     std::stable_sort(jobs.begin(), jobs.end(), earlier);
   }
+  if (jobs.front().at == jobs.back().at) {
+    const SimTime at = jobs.front().at;
+    Park(at, std::move(group), slots);
+    return;
+  }
+  // Each part carries the packet (and, for plays, the block table its
+  // jobs index) with its own run of jobs.
+  const std::vector<PipelineJob> all = std::move(group.jobs);
   size_t i = 0;
-  while (i < jobs.size()) {
-    const SimTime at = InstantOf(jobs[i]);
+  while (i < all.size()) {
     size_t j = i + 1;
-    while (j < jobs.size() && InstantOf(jobs[j]) == at) {
+    while (j < all.size() && all[j].at == all[i].at) {
       ++j;
     }
-    if (i == 0 && j == jobs.size()) {
-      Park(at, std::move(jobs), slots);
-      return;
-    }
-    Park(at,
-         std::vector<Job>(
-             std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
-             std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j))),
-         slots);
+    Group part = group;
+    part.jobs.assign(all.begin() + static_cast<ptrdiff_t>(i),
+                     all.begin() + static_cast<ptrdiff_t>(j));
+    Park(all[i].at, std::move(part), slots);
     i = j;
   }
 }
 
-template <typename Job>
-void PipelineScheduler::Park(SimTime at, std::vector<Job> group,
-                             Slots<Job>* slots) {
+template <typename Group>
+void PipelineScheduler::Park(SimTime at, Group group, Slots<Group>* slots) {
   uint32_t slot = 0;
   if (slots->free.empty()) {
     slot = static_cast<uint32_t>(slots->groups.size());
@@ -72,7 +80,7 @@ void PipelineScheduler::Park(SimTime at, std::vector<Job> group,
     slots->groups[slot] = std::move(group);
   }
   sim_->ScheduleAt(at, [this, slot] {
-    if constexpr (std::is_same_v<Job, DecodeJob>) {
+    if constexpr (std::is_same_v<Group, DecodeGroup>) {
       RunDecodes(slot);
     } else {
       RunPlays(slot);
@@ -81,24 +89,29 @@ void PipelineScheduler::Park(SimTime at, std::vector<Job> group,
 }
 
 void PipelineScheduler::RunDecodes(uint32_t slot) {
-  const std::vector<DecodeJob> group = decodes_.Take(slot);
-  std::vector<PlayJob> plays;
-  for (const DecodeJob& job : group) {
-    PendingPlay play;
-    job.speaker->RunDecode(job.pending, &last_decode_, &play);
-    if (play.valid) {
-      if (plays.empty()) {
-        plays.reserve(group.size());
-      }
-      plays.push_back(PlayJob{job.speaker, std::move(play)});
+  const DecodeGroup group = decodes_.Take(slot);
+  PlayGroup plays;
+  plays.stream_id = group.stream_id;
+  plays.seq = group.seq;
+  for (const PipelineJob& job : group.jobs) {
+    if (!job.speaker->RunDecode(group, job, &last_decode_)) {
+      continue;
     }
+    if (plays.jobs.empty()) {
+      plays.jobs.reserve(group.jobs.size());
+    }
+    PipelineJob play = job;
+    play.at = job.local_deadline;
+    play.block = plays.AddBlock(last_decode_.pcm);
+    plays.jobs.push_back(play);
   }
   Schedule(std::move(plays), &plays_);
 }
 
 void PipelineScheduler::RunPlays(uint32_t slot) {
-  for (PlayJob& job : plays_.Take(slot)) {
-    job.speaker->RunPlay(std::move(job.play));
+  const PlayGroup group = plays_.Take(slot);
+  for (const PipelineJob& job : group.jobs) {
+    job.speaker->RunPlay(group, job);
   }
 }
 
@@ -116,28 +129,28 @@ EthernetSpeaker::EthernetSpeaker(Simulation* sim, Transport* nic,
 EthernetSpeaker::~EthernetSpeaker() = default;
 
 Status EthernetSpeaker::Subscribe(GroupId group) {
-  if (sessions_.count(group) > 0) {
+  if (FindSession(group) != nullptr) {
     return AlreadyExistsError("already subscribed to group " +
                               std::to_string(group));
   }
   ESPK_RETURN_IF_ERROR(nic_->JoinGroup(group));
-  sessions_[group] =
-      std::make_unique<StreamSession>(this, group, ++next_session_epoch_);
   subscribe_order_.push_back(group);
+  sessions_.push_back(
+      std::make_unique<StreamSession>(this, group, ++next_session_epoch_));
   return OkStatus();
 }
 
 Status EthernetSpeaker::Unsubscribe(GroupId group) {
-  auto it = sessions_.find(group);
-  if (it == sessions_.end()) {
+  const auto it =
+      std::find(subscribe_order_.begin(), subscribe_order_.end(), group);
+  if (it == subscribe_order_.end()) {
     return NotFoundError("not subscribed to group " + std::to_string(group));
   }
   ESPK_RETURN_IF_ERROR(nic_->LeaveGroup(group));
   // The session's share of the jitter buffer leaves with it; in-flight
   // pipeline obligations carry its (now stale) epoch and become no-ops.
-  sessions_.erase(it);
-  subscribe_order_.erase(
-      std::find(subscribe_order_.begin(), subscribe_order_.end(), group));
+  sessions_.erase(sessions_.begin() + (it - subscribe_order_.begin()));
+  subscribe_order_.erase(it);
   if (sessions_.empty()) {
     // Matches the historical Tune/Untune reset: an idle device's decode
     // pipeline does not stay busy into its next subscription.
@@ -171,8 +184,12 @@ std::optional<GroupId> EthernetSpeaker::tuned_group() const {
 }
 
 StreamSession* EthernetSpeaker::FindSession(GroupId group) {
-  auto it = sessions_.find(group);
-  return it == sessions_.end() ? nullptr : it->second.get();
+  for (size_t i = 0; i < subscribe_order_.size(); ++i) {
+    if (subscribe_order_[i] == group) {
+      return sessions_[i].get();
+    }
+  }
+  return nullptr;
 }
 
 StreamSession* EthernetSpeaker::session(GroupId group) {
@@ -180,15 +197,11 @@ StreamSession* EthernetSpeaker::session(GroupId group) {
 }
 
 StreamSession* EthernetSpeaker::primary() {
-  return subscribe_order_.empty()
-             ? nullptr
-             : sessions_.at(subscribe_order_.front()).get();
+  return sessions_.empty() ? nullptr : sessions_.front().get();
 }
 
 const StreamSession* EthernetSpeaker::primary() const {
-  return subscribe_order_.empty()
-             ? nullptr
-             : sessions_.at(subscribe_order_.front()).get();
+  return sessions_.empty() ? nullptr : sessions_.front().get();
 }
 
 OutputRecorder* EthernetSpeaker::output() {
@@ -202,7 +215,7 @@ const std::optional<AudioConfig>& EthernetSpeaker::config() const {
 }
 
 bool EthernetSpeaker::ready() const {
-  for (const auto& [group, session] : sessions_) {
+  for (const auto& session : sessions_) {
     if (session->ready()) {
       return true;
     }
@@ -212,7 +225,7 @@ bool EthernetSpeaker::ready() const {
 
 size_t EthernetSpeaker::queued_pcm_bytes() const {
   size_t total = 0;
-  for (const auto& [group, session] : sessions_) {
+  for (const auto& session : sessions_) {
     total += session->queued_pcm_bytes();
   }
   return total;
@@ -221,10 +234,9 @@ size_t EthernetSpeaker::queued_pcm_bytes() const {
 std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
                                               SimDuration duration) {
   StreamSession* base = nullptr;
-  for (GroupId group : subscribe_order_) {
-    StreamSession* s = sessions_.at(group).get();
+  for (const auto& s : sessions_) {
     if (s->ready()) {
-      base = s;
+      base = s.get();
       break;
     }
   }
@@ -232,9 +244,8 @@ std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
     return {};
   }
   std::vector<float> mix = base->output()->Render(from, duration);
-  for (GroupId group : subscribe_order_) {
-    StreamSession* s = sessions_.at(group).get();
-    if (s == base || !s->ready() ||
+  for (const auto& s : sessions_) {
+    if (s.get() == base || !s->ready() ||
         s->config()->sample_rate != base->config()->sample_rate ||
         s->config()->channels != base->config()->channels) {
       continue;
@@ -249,41 +260,46 @@ std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
 }
 
 void EthernetSpeaker::OnDatagram(const Datagram& datagram) {
-  PendingDecode pending;
-  IngestParsed(ParsePacket(datagram.payload), FindSession(datagram.group),
-               &pending);
-  if (pending.valid) {
-    std::vector<DecodeJob> jobs;
-    jobs.push_back(DecodeJob{this, std::move(pending)});
-    scheduler_.ScheduleDecodes(std::move(jobs));
+  Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
+  PipelineJob job;
+  if (!IngestParsed(parsed, FindSession(datagram.group), &job)) {
+    return;
   }
+  // Admitted, so the parse holds a data packet; the batch of one takes its
+  // payload slice over.
+  DataPacket& data = std::get<DataPacket>(parsed->packet);
+  scheduler_.ScheduleDecodes(
+      DecodeGroup{data.stream_id, data.seq, std::move(data.payload), {job}});
 }
 
-void EthernetSpeaker::IngestParsed(const Result<ParsedPacket>& parsed,
-                                   StreamSession* session,
-                                   PendingDecode* out) {
+bool EthernetSpeaker::IngestParsed(const Result<ParsedPacket>& parsed,
+                                   StreamSession* session, PipelineJob* out) {
   ++stats_.packets_received;
   if (!parsed.ok()) {
     // Damaged or non-protocol datagram: integrity check failed (§5.1).
     ++stats_.bad_packets;
-    return;
+    return false;
   }
   if (options_.auth_verifier && !options_.auth_verifier(*parsed)) {
     ++stats_.auth_rejected;
-    return;
+    return false;
   }
   if (session == nullptr) {
     // No subscription for this group. Possible transiently: packets already
     // queued on the wire when an unsubscribe's membership change lands.
-    return;
+    return false;
   }
   if (const auto* control = std::get_if<ControlPacket>(&parsed->packet)) {
     session->HandleControl(*control);
   } else if (const auto* data = std::get_if<DataPacket>(&parsed->packet)) {
-    session->HandleData(*data, out);
+    if (session->HandleData(*data, out)) {
+      out->speaker = this;
+      return true;
+    }
   }
   // Announce packets are handled by the catalog browser (src/mgmt), not by
   // the playback path.
+  return false;
 }
 
 void EthernetSpeaker::Trace(uint32_t stream_id, uint32_t seq,
@@ -293,21 +309,21 @@ void EthernetSpeaker::Trace(uint32_t stream_id, uint32_t seq,
   }
 }
 
-void EthernetSpeaker::RunDecode(const PendingDecode& pending,
-                                LastDecode* last, PendingPlay* out_play) {
-  StreamSession* session = FindSession(pending.group);
-  if (session == nullptr || session->epoch() != pending.session_epoch) {
-    return;  // Unsubscribed while the chunk was in the pipeline.
+bool EthernetSpeaker::RunDecode(const DecodeGroup& packet,
+                                const PipelineJob& job, LastDecode* last) {
+  StreamSession* session = FindSession(job.group);
+  if (session == nullptr || session->epoch() != job.session_epoch) {
+    return false;  // Unsubscribed while the chunk was in the pipeline.
   }
-  session->RunDecode(pending, last, out_play);
+  return session->RunDecode(packet, job, last);
 }
 
-void EthernetSpeaker::RunPlay(PendingPlay play) {
-  StreamSession* session = FindSession(play.group);
-  if (session == nullptr || session->epoch() != play.session_epoch) {
+void EthernetSpeaker::RunPlay(const PlayGroup& packet, const PipelineJob& job) {
+  StreamSession* session = FindSession(job.group);
+  if (session == nullptr || session->epoch() != job.session_epoch) {
     return;  // Unsubscribed while the chunk was in the pipeline.
   }
-  session->RunPlay(std::move(play));
+  session->RunPlay(packet, job);
 }
 
 }  // namespace espk

@@ -17,14 +17,14 @@
 // Neoware EON 4000); large producer buffers therefore stall the pipeline
 // exactly as §3.4 describes — bench C5 sweeps that.
 //
-// Beyond the paper's one-channel radio: a speaker holds a MAP of
-// StreamSessions (src/speaker/stream_session.h), one per subscribed group,
-// and may Subscribe/Unsubscribe at runtime. Per-stream state (sync, jitter
-// accounting, decoder, output) lives in the session; the speaker keeps
-// device-wide state only — the NIC, the serialized decode CPU, the shared
-// jitter-buffer budget, and the aggregate stats. Concurrent subscriptions
-// share the output stage via RenderMix. The paper's Tune/Untune survive as
-// thin aliases over the subscription API.
+// Beyond the paper's one-channel radio: a speaker holds StreamSessions
+// (src/speaker/stream_session.h) in subscription order, one per subscribed
+// group, and may Subscribe/Unsubscribe at runtime. Per-stream state (sync,
+// jitter accounting, decoder, output) lives in the session; the speaker
+// keeps device-wide state only — the NIC, the serialized decode CPU, the
+// shared jitter-buffer budget, and the aggregate stats. Concurrent
+// subscriptions share the output stage via RenderMix. The paper's
+// Tune/Untune survive as thin aliases over the subscription API.
 //
 // Every packet takes one path through the pipeline: admission at arrival
 // (IngestParsed), then decode and play as events a PipelineScheduler groups
@@ -34,18 +34,20 @@
 // own NIC handler, or HandleDatagram) is a batch of one on its own
 // scheduler.
 //
-// The scheduler decodes once per (packet, zone): a member whose session
-// decodes the same payload with the same decoder parameters as the
-// scheduler's last decode plays that decode's PcmBlock instead of decoding
-// again. Only host work is shared. Each member still pays its own simulated
-// decode time on its own decode CPU, counts its own stats, and records its
-// own trace stages.
+// The scheduler's groups carry each packet once: a decode group holds the
+// packet's identity and payload slice for all its members, a play group the
+// decoded PCM block, and each member's job is plain data (when, which
+// session, its deadline and jitter-buffer share). The scheduler decodes once
+// per (packet, zone): a member whose session decodes the same payload with
+// the same decoder parameters as the scheduler's last decode plays that
+// decode's PcmBlock instead of decoding again. Only host work is shared.
+// Each member still pays its own simulated decode time on its own decode
+// CPU, counts its own stats, and records its own trace stages.
 #ifndef SRC_SPEAKER_SPEAKER_H_
 #define SRC_SPEAKER_SPEAKER_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -62,6 +64,7 @@
 
 namespace espk {
 
+class EthernetSpeaker;
 class HistogramMetric;
 class PacketTracer;
 enum class TraceStage : uint8_t;
@@ -96,38 +99,54 @@ struct SpeakerOptions {
   HistogramMetric* lateness_histogram = nullptr;
 };
 
-// A data packet that cleared admission (dedup, overflow, config checks) and
-// now owes the pipeline a decode at `decode_done`. The PipelineScheduler
-// below groups a batch's same-instant decodes into ONE event — for a zone,
-// that batching is where the fleet runtime's per-speaker cost collapses.
-// `valid` is false when the packet was dropped at admission.
-// `group`/`session_epoch` route the obligation back to the session that
-// issued it; a stale epoch (the group was unsubscribed mid-flight) makes
-// the obligation a no-op.
-struct PendingDecode {
-  bool valid = false;
-  SimTime decode_done = 0;
-  GroupId group = 0;
+// One member's pipeline obligation, as plain data: the speaker that owes
+// it, the instant it runs (`at`: decode completion for a decode job, the
+// local deadline for a play job), the session that issued it, and the
+// chunk's share of the jitter buffer. `group`/`session_epoch` route the job
+// back to that session; a stale epoch (the group was unsubscribed
+// mid-flight) makes it a no-op. The packet a job concerns is not here: it
+// rides the group the job is parked in (DecodeGroup, PlayGroup).
+struct PipelineJob {
+  EthernetSpeaker* speaker = nullptr;
+  SimTime at = 0;
   uint64_t session_epoch = 0;
-  uint32_t stream_id = 0;
-  uint32_t seq = 0;
   SimTime local_deadline = 0;
-  BufferSlice payload;  // Zero-copy slice of the arrival buffer.
   size_t decoded_bytes = 0;
+  GroupId group = 0;
+  // Play jobs: which of the play group's blocks this member plays.
+  uint32_t block = 0;
 };
 
-// A decoded chunk that arrived early and owes the pipeline a playout at
-// `at` (its local deadline). Same batching and routing story as
-// PendingDecode.
-struct PendingPlay {
-  bool valid = false;
-  SimTime at = 0;
-  GroupId group = 0;
-  uint64_t session_epoch = 0;
+// Decode jobs that share a completion instant. Every job of a group comes
+// from one admitted data packet, so the group carries that packet once:
+// its identity and a zero-copy slice of the arrival buffer (the slice keeps
+// that buffer alive until the decode runs).
+struct DecodeGroup {
+  uint32_t stream_id = 0;
+  uint32_t seq = 0;
+  BufferSlice payload;
+  std::vector<PipelineJob> jobs;
+};
+
+// Early chunks of one packet that share a playout instant, and the decoded
+// PCM they play. Members that decoded with the same parameters share one
+// block, held inline in `pcm`; `more_pcm` holds a block per further decode
+// only when members decoded with different parameters. A job's `block`
+// indexes this table.
+struct PlayGroup {
   uint32_t stream_id = 0;
   uint32_t seq = 0;
   PcmBlock pcm;
-  size_t decoded_bytes = 0;
+  std::vector<PcmBlock> more_pcm;
+  std::vector<PipelineJob> jobs;
+
+  const PcmBlock& block(uint32_t index) const {
+    return index == 0 ? pcm : more_pcm[index - 1];
+  }
+  // The index of `block`, added unless it is the newest block already.
+  // Decodes in a group run in order and each replaces the one before, so
+  // a block never recurs after another one.
+  uint32_t AddBlock(const PcmBlock& block);
 };
 
 // A PipelineScheduler's last successful decode, keyed by everything its
@@ -153,18 +172,6 @@ struct LastDecode {
   }
 };
 
-class EthernetSpeaker;
-
-// A pipeline obligation and the speaker that owes it.
-struct DecodeJob {
-  EthernetSpeaker* speaker = nullptr;
-  PendingDecode pending;
-};
-struct PlayJob {
-  EthernetSpeaker* speaker = nullptr;
-  PendingPlay play;
-};
-
 // The decode/play scheduler every speaker's pipeline runs on. It turns
 // admitted decodes into simulation events: ONE event per distinct
 // decode-completion instant and ONE per distinct playout instant, however
@@ -174,7 +181,7 @@ struct PlayJob {
 //
 // A waiting group is parked in a slot and its event captures only
 // (scheduler, slot), which std::function stores inline: each group costs
-// one allocation, its vector.
+// one allocation, its job vector.
 //
 // The scheduler keeps its last successful decode (LastDecode). Members of a
 // zone that decode the same packet with the same parameters, in one group
@@ -186,27 +193,28 @@ class PipelineScheduler {
   PipelineScheduler(const PipelineScheduler&) = delete;
   PipelineScheduler& operator=(const PipelineScheduler&) = delete;
 
-  void ScheduleDecodes(std::vector<DecodeJob> jobs);
+  // Schedules the decode jobs of one packet (`group.jobs`, any instants).
+  void ScheduleDecodes(DecodeGroup group);
 
  private:
-  template <typename Job>
+  template <typename Group>
   struct Slots {
-    std::vector<std::vector<Job>> groups;
+    std::vector<Group> groups;
     std::vector<uint32_t> free;
-    std::vector<Job> Take(uint32_t slot);
+    Group Take(uint32_t slot);
   };
 
-  // Splits `jobs` (stably) by instant and parks each group.
-  template <typename Job>
-  void Schedule(std::vector<Job> jobs, Slots<Job>* slots);
-  template <typename Job>
-  void Park(SimTime at, std::vector<Job> group, Slots<Job>* slots);
+  // Splits `group` (stably) by instant and parks each part.
+  template <typename Group>
+  void Schedule(Group group, Slots<Group>* slots);
+  template <typename Group>
+  void Park(SimTime at, Group group, Slots<Group>* slots);
   void RunDecodes(uint32_t slot);
   void RunPlays(uint32_t slot);
 
   Simulation* sim_;
-  Slots<DecodeJob> decodes_;
-  Slots<PlayJob> plays_;
+  Slots<DecodeGroup> decodes_;
+  Slots<PlayGroup> plays_;
   LastDecode last_decode_;
 };
 
@@ -304,19 +312,21 @@ class EthernetSpeaker {
 
   // Stage 1, at arrival time: admission (stats, auth, control handling,
   // dedup/overflow checks) for the session the datagram's group maps to;
-  // null when the speaker has none. Fills `*out` with the decode
-  // obligation for an admitted data packet; out->valid stays false
-  // otherwise.
-  void IngestParsed(const Result<ParsedPacket>& parsed, StreamSession* session,
-                    PendingDecode* out);
-  // Stage 2, at pending.decode_done: decode + deadline triage. The decode
-  // reuses `*last` when it matches and replaces it after a successful
-  // decode otherwise. An early-arriving chunk becomes a playout obligation
-  // in `*out_play`; on-time chunks play here, late ones drop here.
-  void RunDecode(const PendingDecode& pending, LastDecode* last,
-                 PendingPlay* out_play);
-  // Stage 3, at play.at: render an early chunk at its deadline.
-  void RunPlay(PendingPlay play);
+  // null when the speaker has none. Returns true and fills `*out` with the
+  // decode job when a data packet is admitted; the caller puts the job in a
+  // DecodeGroup carrying that packet.
+  bool IngestParsed(const Result<ParsedPacket>& parsed, StreamSession* session,
+                    PipelineJob* out);
+  // Stage 2, at job.at: decode `packet` + deadline triage. The decode reuses
+  // `*last` when it matches and replaces it after a successful decode
+  // otherwise. On-time chunks play here and late ones drop here; returns
+  // true for an early chunk, which owes a play of `last->pcm` at
+  // job.local_deadline.
+  bool RunDecode(const DecodeGroup& packet, const PipelineJob& job,
+                 LastDecode* last);
+  // Stage 3, at job.at: render an early chunk, `packet.block(job.block)`,
+  // at its deadline.
+  void RunPlay(const PlayGroup& packet, const PipelineJob& job);
 
  private:
   friend class StreamSession;
@@ -335,10 +345,12 @@ class EthernetSpeaker {
   // Schedules what HandleDatagram admits (zone members use their zone's).
   PipelineScheduler scheduler_;
 
-  // Active subscriptions: group -> session, plus subscription order (the
-  // front is the primary the legacy accessors expose).
-  std::map<GroupId, std::unique_ptr<StreamSession>> sessions_;
+  // Active subscriptions in subscription order (the front is the primary
+  // the legacy accessors expose): sessions_[i] serves subscribe_order_[i].
+  // A speaker holds a handful at most, so finding a group's session is a
+  // scan of the group ids.
   std::vector<GroupId> subscribe_order_;
+  std::vector<std::unique_ptr<StreamSession>> sessions_;
   uint64_t next_session_epoch_ = 0;
 
   // Decode pipeline: ONE decode CPU per device, shared by every session —

@@ -16,7 +16,7 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
   // would have produced.
   Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
   const SimTime now = sim_->now();
-  std::vector<DecodeJob> jobs;
+  std::vector<PipelineJob> jobs;
   jobs.reserve(entries.size());
   std::optional<uint32_t> slot;
   for (const ZoneDeliveryEntry& entry : entries) {
@@ -35,7 +35,7 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
       RunDeferred(slot, index);
     });
   }
-  scheduler_.ScheduleDecodes(std::move(jobs));
+  ScheduleDecodes(parsed, std::move(jobs));
 }
 
 uint32_t SpeakerZone::ParkDeferred(const Datagram& datagram,
@@ -55,32 +55,43 @@ uint32_t SpeakerZone::ParkDeferred(const Datagram& datagram,
 
 void SpeakerZone::RunDeferred(uint32_t slot, int member) {
   Deferred& batch = deferred_[slot];
-  std::vector<DecodeJob> jobs;
+  std::vector<PipelineJob> jobs;
   Ingest(members_[static_cast<size_t>(member)], batch.datagram, *batch.parsed,
          &jobs);
+  ScheduleDecodes(*batch.parsed, std::move(jobs));
   if (--batch.waiting == 0) {
     // Release the payload now rather than when the slot is next reused.
     batch.datagram = Datagram();
     batch.parsed.reset();
     free_deferred_.push_back(slot);
   }
-  scheduler_.ScheduleDecodes(std::move(jobs));
 }
 
 void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
                          const Result<ParsedPacket>& parsed,
-                         std::vector<DecodeJob>* jobs) {
+                         std::vector<PipelineJob>* jobs) {
   StreamSession* session = member.speaker->session(datagram.group);
   if (session == nullptr) {
     member.nic->HandleArrival(datagram);
     return;
   }
   member.nic->NoteZoneDelivery();
-  PendingDecode pending;
-  member.speaker->IngestParsed(parsed, session, &pending);
-  if (pending.valid) {
-    jobs->push_back(DecodeJob{member.speaker, std::move(pending)});
+  PipelineJob job;
+  if (member.speaker->IngestParsed(parsed, session, &job)) {
+    jobs->push_back(job);
   }
+}
+
+void SpeakerZone::ScheduleDecodes(const Result<ParsedPacket>& parsed,
+                                  std::vector<PipelineJob> jobs) {
+  if (jobs.empty()) {
+    return;
+  }
+  // Admitted jobs mean the parse holds a data packet: the group carries it
+  // once for every member.
+  const auto& data = std::get<DataPacket>(parsed->packet);
+  scheduler_.ScheduleDecodes(
+      DecodeGroup{data.stream_id, data.seq, data.payload, std::move(jobs)});
 }
 
 }  // namespace espk

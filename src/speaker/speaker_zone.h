@@ -5,10 +5,11 @@
 // packet parse per speaker per packet. A zone collapses that to per-PACKET
 // cost: the segment hands the zone ONE message carrying the shared payload
 // slice and a member list (src/lan/segment.h ZoneSink); the zone parses
-// once, runs every member's admission stage inline, and its
-// PipelineScheduler (src/speaker/speaker.h) schedules ONE event per
-// distinct decode-completion instant and ONE per distinct playout instant
-// for the whole zone. On a symmetric fleet (same codec config, idle
+// once, runs every member's admission stage inline, and hands the admitted
+// members' jobs, with the packet carried once, to its PipelineScheduler
+// (src/speaker/speaker.h), which schedules ONE event per distinct
+// decode-completion instant and ONE per distinct playout instant for the
+// whole zone. On a symmetric fleet (same codec config, idle
 // pipelines) those instants coincide across members, so a 1000-speaker
 // zone rides three events per packet instead of three thousand. The
 // scheduler also decodes each packet once for every member whose session
@@ -73,11 +74,16 @@ class SpeakerZone : public ZoneSink {
     uint32_t waiting = 0;  // Arrival events still to run.
   };
 
-  // One member's arrival: admission (appending the decode obligation, if
-  // any, to `jobs`), or the NIC's receive handler when the member has no
-  // session for the group.
+  // One member's arrival: admission (appending the decode job, if any, to
+  // `jobs`), or the NIC's receive handler when the member has no session
+  // for the group.
   void Ingest(const Member& member, const Datagram& datagram,
-              const Result<ParsedPacket>& parsed, std::vector<DecodeJob>* jobs);
+              const Result<ParsedPacket>& parsed,
+              std::vector<PipelineJob>* jobs);
+  // Hands the admitted jobs to the scheduler in one group carrying the
+  // parsed data packet.
+  void ScheduleDecodes(const Result<ParsedPacket>& parsed,
+                       std::vector<PipelineJob> jobs);
   uint32_t ParkDeferred(const Datagram& datagram,
                         const Result<ParsedPacket>& parsed);
   // A late member's arrival event.

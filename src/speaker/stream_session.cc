@@ -75,7 +75,7 @@ void StreamSession::HandleControl(const ControlPacket& packet) {
                    << ", config " << config_->ToString();
 }
 
-void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
+bool StreamSession::HandleData(const DataPacket& packet, PipelineJob* out) {
   ++speaker_->stats_.data_packets;
   ++stats_.data_packets;
   speaker_->Trace(packet.stream_id, packet.seq, TraceStage::kSpeakerReceive);
@@ -83,7 +83,7 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
     // §2.3: "The Ethernet Speaker has to wait till it receives a control
     // packet before it can start playing the audio stream."
     ++speaker_->stats_.waiting_drops;
-    return;
+    return false;
   }
   // RFC 1982 serial arithmetic: `ahead` is how far this seq lies past the
   // highest seen, correct across the 2^32 wrap. A seq 0..999 behind is a
@@ -91,7 +91,7 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
   const auto ahead = static_cast<int32_t>(packet.seq - highest_seq_seen_);
   if (any_data_seen_ && ahead <= 0 && ahead > -1000) {
     ++speaker_->stats_.duplicate_drops;
-    return;
+    return false;
   }
   if (!any_data_seen_ || ahead > 0) {
     highest_seq_seen_ = packet.seq;
@@ -108,7 +108,7 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
   if (speaker_->queued_pcm_bytes() + decoded_bytes >
       speaker_->options_.jitter_buffer_bytes) {
     ++speaker_->stats_.overflow_drops;
-    return;
+    return false;
   }
 
   SimTime now = speaker_->sim_->now();
@@ -137,58 +137,55 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
   }
 
   // The packet occupies the jitter buffer from arrival; the payload rides
-  // the pipeline as a slice of the arrival buffer (no copy, and the slice
-  // keeps that buffer alive) until the decode stage actually runs.
+  // the pipeline in the job's group, as a slice of the arrival buffer (no
+  // copy, and the slice keeps that buffer alive) until the decode stage
+  // actually runs.
   queued_pcm_bytes_ += decoded_bytes;
-  out->valid = true;
-  out->decode_done = decode_done;
-  out->group = group_;
+  out->at = decode_done;
   out->session_epoch = epoch_;
-  out->stream_id = packet.stream_id;
-  out->seq = packet.seq;
   out->local_deadline = local_deadline;
-  out->payload = packet.payload;
   out->decoded_bytes = decoded_bytes;
+  out->group = group_;
+  return true;
 }
 
-void StreamSession::RunDecode(const PendingDecode& pending, LastDecode* last,
-                              PendingPlay* out_play) {
+bool StreamSession::RunDecode(const DecodeGroup& packet,
+                              const PipelineJob& job, LastDecode* last) {
   if (decoder_ == nullptr || recorder_ == nullptr) {
-    queued_pcm_bytes_ -= pending.decoded_bytes;
-    return;  // Cannot happen after admission; kept as a defensive mirror.
+    queued_pcm_bytes_ -= job.decoded_bytes;
+    return false;  // Cannot happen after admission; kept as a defensive mirror.
   }
   // The session's CURRENT decoder parameters, as for a decode of its own: a
   // control packet may have switched them since admission.
-  if (!last->Matches(pending.payload, codec_, *config_, quality_)) {
+  if (!last->Matches(packet.payload, codec_, *config_, quality_)) {
     Result<std::vector<float>> samples =
-        decoder_->DecodePacket(pending.payload);
+        decoder_->DecodePacket(packet.payload);
     if (!samples.ok()) {
       ++speaker_->stats_.decode_errors;
-      queued_pcm_bytes_ -= pending.decoded_bytes;
-      return;
+      queued_pcm_bytes_ -= job.decoded_bytes;
+      return false;
     }
     *last = LastDecode{
-        pending.payload, codec_, *config_, quality_,
+        packet.payload, codec_, *config_, quality_,
         std::make_shared<const std::vector<float>>(std::move(*samples))};
   }
-  OnDecodeComplete(pending.stream_id, pending.seq, pending.local_deadline,
-                   last->pcm, pending.decoded_bytes, out_play);
+  return OnDecodeComplete(packet, job, last->pcm);
 }
 
-void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
-                                     SimTime local_deadline, PcmBlock pcm,
-                                     size_t decoded_bytes,
-                                     PendingPlay* out_play) {
-  speaker_->Trace(stream_id, seq, TraceStage::kDecodeDone);
+bool StreamSession::OnDecodeComplete(const DecodeGroup& packet,
+                                     const PipelineJob& job,
+                                     const PcmBlock& pcm) {
+  speaker_->Trace(packet.stream_id, packet.seq, TraceStage::kDecodeDone);
   SimTime now = speaker_->sim_->now();
-  SimDuration lateness = now - local_deadline;
+  SimDuration lateness = now - job.local_deadline;
   if (speaker_->options_.lateness_histogram != nullptr) {
     if (speaker_->options_.tracer != nullptr &&
         speaker_->options_.tracer->span_stages_enabled()) {
       // With the span plane on, the observation carries the packet's trace
       // identity so the bucket's exemplar resolves to a retained span tree.
       speaker_->options_.lateness_histogram->ObserveExemplar(
-          ToMillisecondsF(lateness), PacketTraceId(stream_id, seq), now);
+          ToMillisecondsF(lateness),
+          PacketTraceId(packet.stream_id, packet.seq), now);
     } else {
       speaker_->options_.lateness_histogram->Observe(
           ToMillisecondsF(lateness));
@@ -196,47 +193,41 @@ void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
   }
   if (lateness > speaker_->options_.sync_epsilon) {
     // §3.2: throw away data up until the current wall time.
-    queued_pcm_bytes_ -= decoded_bytes;
+    queued_pcm_bytes_ -= job.decoded_bytes;
     ++speaker_->stats_.late_drops;
     ++stats_.late_drops;
-    speaker_->Trace(stream_id, seq, TraceStage::kDeadlineMiss);
-    return;
+    speaker_->Trace(packet.stream_id, packet.seq, TraceStage::kDeadlineMiss);
+    return false;
   }
   if (lateness > 0) {
     // Within epsilon: play immediately, slightly late. Without this leeway
     // "data will be unnecessarily thrown out and skipping in playback will
     // be noticeable" (§3.2).
-    queued_pcm_bytes_ -= decoded_bytes;
+    queued_pcm_bytes_ -= job.decoded_bytes;
     speaker_->stats_.total_lateness_ns += lateness;
     ++speaker_->stats_.chunks_played;
     ++stats_.chunks_played;
     NotePlay(now, pcm->size());
-    speaker_->Trace(stream_id, seq, TraceStage::kPlay);
-    recorder_->Play(now, std::move(pcm), speaker_->options_.gain);
-    return;
+    speaker_->Trace(packet.stream_id, packet.seq, TraceStage::kPlay);
+    recorder_->Play(now, pcm, speaker_->options_.gain);
+    return false;
   }
   // Early: sleep until it is time to play. The chunk keeps occupying the
   // jitter buffer until it leaves the speaker.
-  out_play->valid = true;
-  out_play->at = local_deadline;
-  out_play->group = group_;
-  out_play->session_epoch = epoch_;
-  out_play->stream_id = stream_id;
-  out_play->seq = seq;
-  out_play->pcm = std::move(pcm);
-  out_play->decoded_bytes = decoded_bytes;
+  return true;
 }
 
-void StreamSession::RunPlay(PendingPlay play) {
-  queued_pcm_bytes_ -= play.decoded_bytes;
+void StreamSession::RunPlay(const PlayGroup& packet, const PipelineJob& job) {
+  queued_pcm_bytes_ -= job.decoded_bytes;
   if (recorder_ == nullptr) {
     return;
   }
+  const PcmBlock& pcm = packet.block(job.block);
   ++speaker_->stats_.chunks_played;
   ++stats_.chunks_played;
-  NotePlay(play.at, play.pcm->size());
-  speaker_->Trace(play.stream_id, play.seq, TraceStage::kPlay);
-  recorder_->Play(play.at, std::move(play.pcm), speaker_->options_.gain);
+  NotePlay(job.at, pcm->size());
+  speaker_->Trace(packet.stream_id, packet.seq, TraceStage::kPlay);
+  recorder_->Play(job.at, pcm, speaker_->options_.gain);
 }
 
 }  // namespace espk

@@ -4,8 +4,8 @@
 // clock, codec config, decoder), the output recorder, jitter-buffer
 // accounting, dedup history, and deadline/silence bookkeeping. The speaker
 // itself (src/speaker/speaker.h) keeps only device-wide state: the NIC, the
-// serialized decode CPU, the aggregate SpeakerStats, and the subscription
-// map routing each arriving datagram's group to its session.
+// serialized decode CPU, the aggregate SpeakerStats, and the subscriptions
+// routing each arriving datagram's group to its session.
 //
 // A speaker subscribed to exactly one stream behaves bit-identically to the
 // pre-session speaker: every stage below is the old single-stream code with
@@ -28,9 +28,10 @@
 namespace espk {
 
 class EthernetSpeaker;
+struct DecodeGroup;
 struct LastDecode;
-struct PendingDecode;
-struct PendingPlay;
+struct PipelineJob;
+struct PlayGroup;
 
 // Counters one subscription accumulates on top of the speaker's aggregate
 // SpeakerStats (which single-stream tests and the health rules watch). The
@@ -66,18 +67,20 @@ class StreamSession {
   const StreamSessionStats& stats() const { return stats_; }
 
   // Pipeline stages, driven by the owning speaker's batched surface
-  // (src/speaker/speaker.h): admission at arrival, decode + deadline triage
-  // at decode-done, render at the play deadline.
+  // (src/speaker/speaker.h): admission at arrival (true, with `*out`
+  // filled, when a data packet is admitted), decode + deadline triage at
+  // decode-done (true when the chunk is early and owes a play of
+  // `last->pcm`), render at the play deadline. The packet and its decoded
+  // block belong to the job's group and are read, never copied per member.
   void HandleControl(const ControlPacket& packet);
-  void HandleData(const DataPacket& packet, PendingDecode* out);
-  void RunDecode(const PendingDecode& pending, LastDecode* last,
-                 PendingPlay* out_play);
-  void RunPlay(PendingPlay play);
+  bool HandleData(const DataPacket& packet, PipelineJob* out);
+  bool RunDecode(const DecodeGroup& packet, const PipelineJob& job,
+                 LastDecode* last);
+  void RunPlay(const PlayGroup& packet, const PipelineJob& job);
 
  private:
-  void OnDecodeComplete(uint32_t stream_id, uint32_t seq,
-                        SimTime local_deadline, PcmBlock pcm,
-                        size_t decoded_bytes, PendingPlay* out_play);
+  bool OnDecodeComplete(const DecodeGroup& packet, const PipelineJob& job,
+                        const PcmBlock& pcm);
   // Accounts playout-timeline gaps: a chunk of `sample_count` samples
   // started rendering at `at`.
   void NotePlay(SimTime at, size_t sample_count);

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "src/base/prng.h"
 #include "src/lan/segment.h"
 #include "src/lan/udp_transport.h"
+#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 
 namespace espk {
@@ -295,6 +301,144 @@ TEST(SegmentTest, GroupZeroIsReserved) {
   auto nic = segment.CreateNic();
   EXPECT_FALSE(nic->JoinGroup(0).ok());
   EXPECT_FALSE(nic->SendMulticast(0, {1}).ok());
+}
+
+// The fan-out contract segment.h states: loss and jitter are drawn per
+// receiver, in NIC creation order, from one PRNG seeded with the segment's
+// seed. Membership churns in a scrambled order between sends (joins, leaves,
+// re-joins, destroyed NICs, the sender itself joined), and every NIC must
+// receive exactly what a reference drawing from its own Prng over the
+// joined NICs in creation order predicts.
+TEST(SegmentTest, FanoutDrawsLossAndJitterInCreationOrder) {
+  constexpr size_t kNics = 12;
+  constexpr GroupId kGroup = 5;
+  Simulation sim;
+  SegmentConfig config;
+  config.loss_probability = 0.3;
+  config.jitter = Microseconds(400);
+  config.bandwidth_bps = 8e6;  // A 1-byte payload takes 1 us on the wire.
+  config.overhead_bytes = 0;
+  config.seed = 77;
+  EthernetSegment segment(&sim, config);
+
+  struct Arrival {
+    int send = 0;
+    SimTime at = 0;
+    bool operator==(const Arrival&) const = default;
+  };
+  std::vector<std::unique_ptr<SimNic>> nics;
+  std::vector<std::vector<Arrival>> got(kNics);
+  for (size_t i = 0; i < kNics; ++i) {
+    nics.push_back(segment.CreateNic());
+    nics.back()->SetReceiveHandler([&got, &sim, i](const Datagram& d) {
+      got[i].push_back(Arrival{d.payload[0], sim.now()});
+    });
+  }
+  SimNic* sender = nics[0].get();  // Joins too; never hears itself.
+
+  Prng reference(config.seed);
+  std::vector<bool> joined(kNics, false);
+  std::vector<std::vector<Arrival>> expected(kNics);
+  uint64_t expected_deliveries = 0;
+  uint64_t expected_lost = 0;
+  int sends = 0;
+  auto send = [&] {
+    const SimTime wire_done = sim.now() + Microseconds(1);
+    for (size_t i = 1; i < kNics; ++i) {
+      if (nics[i] == nullptr || !joined[i]) {
+        continue;
+      }
+      ++expected_deliveries;
+      if (reference.NextBool(config.loss_probability)) {
+        ++expected_lost;
+        continue;
+      }
+      const auto jitter = static_cast<SimDuration>(
+          reference.NextBelow(static_cast<uint64_t>(config.jitter)));
+      expected[i].push_back(
+          Arrival{sends, wire_done + config.base_delay + jitter});
+    }
+    ASSERT_TRUE(
+        sender->SendMulticast(kGroup, {static_cast<uint8_t>(sends)}).ok());
+    ++sends;
+    sim.RunUntil(sim.now() + Milliseconds(1));  // Every arrival, idle medium.
+  };
+  auto members = [&] {
+    size_t n = 0;
+    for (size_t i = 0; i < kNics; ++i) {
+      n += nics[i] != nullptr && joined[i] ? 1 : 0;
+    }
+    return n;
+  };
+
+  Prng script(2024);
+  int destroyed = 0;
+  for (int step = 0; step < 240; ++step) {
+    const size_t i = script.NextBelow(kNics);
+    const uint64_t action = script.NextBelow(10);
+    if (nics[i] != nullptr) {
+      if (action == 0 && i != 0 && destroyed < 6) {
+        nics[i].reset();
+        ++destroyed;
+      } else if (action <= 3 && joined[i]) {
+        ASSERT_TRUE(nics[i]->LeaveGroup(kGroup).ok());
+        joined[i] = false;
+      } else if (action > 3 && !joined[i]) {
+        ASSERT_TRUE(nics[i]->JoinGroup(kGroup).ok());
+        joined[i] = true;
+      }
+    }
+    ASSERT_EQ(segment.GroupMemberCount(kGroup), members()) << "step " << step;
+    if (step % 4 == 3) {
+      send();
+    }
+  }
+
+  EXPECT_EQ(destroyed, 6);
+  EXPECT_EQ(segment.stats().deliveries, expected_deliveries);
+  EXPECT_EQ(segment.stats().deliveries_lost, expected_lost);
+  EXPECT_GT(expected_lost, 0u);
+  for (size_t i = 0; i < kNics; ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "nic " << i;
+  }
+  EXPECT_TRUE(got[0].empty());
+}
+
+// Zone identity assigned after a join still routes the NIC's deliveries
+// through its zone's sink, tagged with its member index.
+TEST(SegmentTest, ZoneAssignedAfterJoinReceivesThroughItsSink) {
+  class Sink : public ZoneSink {
+   public:
+    void DeliverBatch(const Datagram&,
+                      std::vector<ZoneDeliveryEntry> entries) override {
+      for (const ZoneDeliveryEntry& entry : entries) {
+        members.push_back(entry.member);
+      }
+    }
+    std::vector<int> members;
+  };
+  ShardGroup::Options options;
+  options.shards = 2;
+  ShardGroup shards(options);
+  EthernetSegment segment(shards.sim(0), SegmentConfig{});
+  segment.EnableSharding(&shards, 0);
+  Sink sinks[2];
+  segment.RegisterZoneSink(0, &sinks[0]);
+  segment.RegisterZoneSink(1, &sinks[1]);
+  auto sender = segment.CreateNic();
+  auto a = segment.CreateNic();
+  auto b = segment.CreateNic();
+  ASSERT_TRUE(a->JoinGroup(3).ok());
+  ASSERT_TRUE(b->JoinGroup(3).ok());
+  segment.AssignZone(b.get(), 1, 7);
+  segment.AssignZone(a.get(), 0, 4);
+  SimNic* from = sender.get();
+  shards.sim(0)->ScheduleAt(Milliseconds(1), [from] {
+    (void)from->SendMulticast(3, {1});
+  });
+  shards.RunUntil(Milliseconds(2));
+  EXPECT_EQ(sinks[0].members, std::vector<int>{4});
+  EXPECT_EQ(sinks[1].members, std::vector<int>{7});
 }
 
 // ----------------------------------------------------------- UDP backend --

@@ -530,6 +530,44 @@ TEST(SpeakerZoneTest, MembersWithDifferentDecodersDecodeSeparately) {
   EXPECT_NE(*other_config->block, *same[0]->block);
 }
 
+// Decoder parameters that alternate A, B, A within one early batch give the
+// play group a block per decode, and each member's block index must point
+// at the block its own decoder made: both A members play A's PCM, the B
+// member B's.
+TEST(SpeakerZoneTest, InterleavedDecodersEachPlayTheirOwnBlock) {
+  const AudioConfig s16{8000, 1, AudioEncoding::kLinearS16};
+  const AudioConfig u8{8000, 1, AudioEncoding::kLinearU8};
+  ZoneHarness h(3);
+  h.Deliver(h.MakeControl(s16, 5), {0, 2});
+  h.Deliver(h.MakeControl(u8, 5), {1});
+
+  DataPacket data;
+  data.stream_id = 1;
+  data.seq = 0;
+  data.play_deadline = Milliseconds(100);
+  data.frame_count = 400;
+  data.payload = SineGenerator(440.0).GenerateBytes(400, s16);
+  h.Deliver(data, {0, 1, 2});
+  h.sim_.Run();
+
+  const OutputRecorder::Segment* played[] = {h.Played(0), h.Played(1),
+                                             h.Played(2)};
+  for (const OutputRecorder::Segment* segment : played) {
+    ASSERT_NE(segment, nullptr);
+    EXPECT_EQ(segment->start, Milliseconds(100));  // Played from the group.
+  }
+  const AudioConfig configs[] = {s16, u8, s16};
+  for (size_t i = 0; i < 3; ++i) {
+    auto decoder = CreateDecoder(CodecId::kRaw, configs[i], 5);
+    ASSERT_TRUE(decoder.ok());
+    Result<std::vector<float>> expected = (*decoder)->DecodePacket(data.payload);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(*played[i]->block, *expected) << "member " << i;
+  }
+  EXPECT_EQ(*played[0]->block, *played[2]->block);
+  EXPECT_NE(*played[0]->block, *played[1]->block);
+}
+
 // A failed decode is never shared: every member that receives a corrupt
 // payload counts its own decode error, and none plays anything.
 TEST(SpeakerZoneTest, CorruptPayloadCountsAnErrorOnEveryMember) {
